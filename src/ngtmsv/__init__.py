@@ -45,13 +45,11 @@ from .model import (
     operation_from_table,
     tmsv_spec,
 )
-from .polynomial import Polynomial
 from .series import (
     DerivativeSpec,
     GeneratingExponent,
-    TruncatedSeries,
+    coefficient_array,
     mixed_partial_at_zero,
-    series_exp,
 )
 from .sweep import (
     FIGURES,
@@ -68,11 +66,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dual",
-    "Polynomial",
     "GeneratingExponent",
-    "TruncatedSeries",
     "DerivativeSpec",
-    "series_exp",
+    "coefficient_array",
     "mixed_partial_at_zero",
     "NGOperationSpec",
     "ModelParams",

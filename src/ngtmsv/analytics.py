@@ -12,8 +12,10 @@ when that probability is below the representable floor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .dual import Dual
 from .errors import (
@@ -36,8 +38,12 @@ from .model import (
     wigner_aux_form,
     wigner_coupling,
 )
-from .polynomial import Polynomial
-from .series import DerivativeSpec, GeneratingExponent, mixed_partial_at_zero
+from .series import (
+    DerivativeSpec,
+    GeneratingExponent,
+    coefficient_array,
+    mixed_partial_at_zero,
+)
 
 _RESIDUE_TOL = 1e-10
 _PROB_FLOOR = 1e-300
@@ -81,9 +87,19 @@ class PhaseSpacePoint:
 def _as_point(point) -> tuple:
     if isinstance(point, PhaseSpacePoint):
         return point.as_tuple()
-    vals = tuple(float(v) for v in point)
+    if isinstance(point, (str, bytes)):
+        raise ParameterError("phase-space point must be a sequence of numbers, "
+                             f"not the string {point!r}")
+    try:
+        vals = tuple(point)
+    except TypeError:
+        raise ParameterError("phase-space point must be a sequence of numbers, "
+                             f"not {type(point).__name__}") from None
     if len(vals) != 4:
         raise ParameterError("phase-space point needs 4 coordinates (q1, p1, q2, p2)")
+    if not all(isinstance(v, numbers.Real) for v in vals):
+        raise ParameterError(f"phase-space coordinates must be real numbers, got {vals!r}")
+    vals = tuple(float(v) for v in vals)
     if not all(math.isfinite(v) for v in vals):
         raise ParameterError("phase-space coordinates must be finite")
     return vals
@@ -115,71 +131,56 @@ def success_probability(lam: float, spec: NGOperationSpec) -> float:
 def wigner(lam: float, spec: NGOperationSpec, point) -> float:
     """Normalized Wigner function of the heralded state at a point."""
     xi = _as_point(point)
-    params = derive_params(lam, spec)
-    pcore = _probability_core(params, spec)
-    prob = pcore / params.base_norm
-    if prob < _PROB_FLOOR:
-        raise DegenerateOperationError(
-            "heralding probability underflows; normalized Wigner undefined")
-    coupling = wigner_coupling(params)
-    lin = [sum(row[a] * xi[a] for a in range(4)) for row in coupling]
-    core = _herald_core_with_lin(params, spec, wigner_aux_form(params), lin)
-    num = _real(core, "Wigner numerator")
-    quad = phase_space_form(params)
-    expo = sum(quad[i][j] * xi[i] * xi[j] for i in range(4) for j in range(4))
-    return math.exp(expo) * num / (params.base_norm * math.pi ** 2 * prob)
+    return wigner_polynomial(lam, spec)(xi)
 
 
-def _herald_core_with_lin(params, spec, quad, lin):
-    return mixed_partial_at_zero(GeneratingExponent(8, quad, lin),
-                                 spec.derivative_spec())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerKernel:
-    """Wigner function in closed form: ``scale * poly(xi) * exp(xi^T quad xi)``.
+    """Wigner function in closed form: ``scale * num(xi) * exp(xi^T quad xi)``.
 
-    ``poly`` has complex coefficients whose imaginary parts are residues;
-    calling the kernel checks and discards them.
+    The numerator is the heralding derivative of exp(u^T Q u + l.u) with
+    l = coupling @ xi. Since exp(l.u) factorizes per variable, it equals
+    sum_j coeffs[j] * prod_i l_i^j_i / j_i!, where ``coeffs`` holds
+    ``prefactor * prod(k_i!) * [u^(k-j)] exp(u^T Q u)``. The numerator's
+    imaginary part is a residue; calling the kernel checks and discards it.
     """
 
-    poly: Polynomial
+    coeffs: np.ndarray
+    coupling: np.ndarray
     quad: tuple
     scale: float
 
     def __call__(self, point) -> float:
         xi = _as_point(point)
-        val = _real(self.poly(xi), "Wigner kernel polynomial")
+        num = self.coeffs
+        for ell in self.coupling @ xi:
+            powers = np.ones(num.shape[0], dtype=np.complex128)
+            for j in range(1, len(powers)):
+                powers[j] = powers[j - 1] * ell / j
+            num = np.tensordot(powers, num, axes=1)
+        val = _real(complex(num), "Wigner numerator")
         expo = sum(self.quad[i][j] * xi[i] * xi[j]
                    for i in range(4) for j in range(4))
         return self.scale * val * math.exp(expo)
 
 
 def wigner_polynomial(lam: float, spec: NGOperationSpec) -> WignerKernel:
-    """Closed-form Wigner kernel: the heralding derivative evaluated over the
-    phase-space polynomial ring (one build, reusable across points)."""
+    """Closed-form Wigner kernel: one coefficient array of the heralding
+    generating function, contracted against each point on call."""
     params = derive_params(lam, spec)
     pcore = _probability_core(params, spec)
     prob = pcore / params.base_norm
     if prob < _PROB_FLOOR:
         raise DegenerateOperationError(
             "heralding probability underflows; normalized Wigner undefined")
-    coupling = wigner_coupling(params)
-    lin = []
-    for row in coupling:
-        poly = Polynomial(4)
-        for a in range(4):
-            if row[a] != 0:
-                poly = poly + row[a] * Polynomial.variable(a, 4)
-        lin.append(poly)
-    core = mixed_partial_at_zero(
-        GeneratingExponent(8, wigner_aux_form(params), lin),
-        spec.derivative_spec())
-    if not isinstance(core, Polynomial):
-        core = Polynomial.constant(4, core)
+    dspec = spec.derivative_spec()
+    fact = math.prod(map(math.factorial, dspec.orders))
+    arr = coefficient_array(GeneratingExponent(8, wigner_aux_form(params)), dspec)
+    coeffs = dspec.prefactor * fact * arr[0][(slice(None, None, -1),) * 8]
     quad = tuple(tuple(row) for row in phase_space_form(params))
     scale = 1.0 / (params.base_norm * math.pi ** 2 * prob)
-    return WignerKernel(poly=core, quad=quad, scale=scale)
+    return WignerKernel(coeffs=coeffs, coupling=np.array(wigner_coupling(params)),
+                        quad=quad, scale=scale)
 
 
 def moment(lam: float, spec: NGOperationSpec, idx,
@@ -323,7 +324,7 @@ def sensitivity_report(lam: float, spec: NGOperationSpec,
     dphi = phase_sensitivity(lam, spec, phi)
     fisher = qfi(lam, spec)
     bound = 1.0 / math.sqrt(fisher)
-    gain = merit(lam, spec, phi)
+    gain = phase_sensitivity(lam, tmsv_spec(), phi) - dphi
     return SensitivityReport(
         lam=lam, spec=spec, phi=phi, probability=prob, parity=parity,
         delta_phi=dphi, qfi=fisher, delta_phi_min=bound, merit=gain,

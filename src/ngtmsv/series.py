@@ -1,53 +1,40 @@
-"""Truncated multivariate power series and derivative extraction.
+"""Dense Taylor-coefficient engine and derivative extraction.
 
 The analytic layer reduces every physical quantity to mixed partial
 derivatives, evaluated at zero, of ``exp(u^T Q u + L.u + c)`` in up to twelve
 formal variables. This module provides:
 
-* :class:`TruncatedSeries` — sparse series over a generic commutative
-  coefficient ring (complex numbers, :class:`~ngtmsv.dual.Dual`,
-  :class:`~ngtmsv.polynomial.Polynomial`).
 * :class:`GeneratingExponent` — the quadratic-plus-linear exponent data.
-* :func:`series_exp` — exponential of such an exponent, truncated by total
-  degree and optionally by per-variable caps.
-* :func:`mixed_partial_at_zero` — the derivative functional. For numeric
-  rings it uses a dense array fast path; exponent caps equal to the target
-  orders make the truncation exact for single-coefficient extraction.
+* :func:`coefficient_array` — every Taylor coefficient [u^j] of
+  ``exp(u^T Q u + L.u)`` up to the requested orders, as one dense complex
+  array; entries that are :class:`~ngtmsv.dual.Dual` add a derivative row.
+* :func:`mixed_partial_at_zero` — the derivative functional: the corner
+  entry of that array times the factorials, the prefactor and ``exp(c)``.
 
 Truncation soundness: all exponents are non-negative, so a product term at
-the target exponent can only arise from factor terms bounded by it
-componentwise. Dropping anything beyond the caps or the total degree never
-changes the extracted coefficient.
+an exponent within the orders can only arise from factor terms bounded by
+it componentwise. Dropping everything beyond the orders never changes the
+kept coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .dual import Dual
+from .dual import Dual, d_exp
 from .errors import ConstructionError
-from .polynomial import Polynomial
-
-_NUMERIC = (int, float, complex)
-
-
-def _is_zero(c) -> bool:
-    try:
-        return not c
-    except Exception:  # pragma: no cover - exotic rings
-        return False
 
 
 class GeneratingExponent:
     """Exponent data ``u^T quad u + lin . u + const`` over ``dim`` variables.
 
     ``quad`` must be symmetric (checked exactly on construction); ``lin`` is a
-    length-``dim`` sequence; entries may be numbers, Duals, or Polynomials.
+    length-``dim`` sequence; entries may be numbers or Duals.
     """
 
     __slots__ = ("dim", "quad", "lin", "const")
@@ -65,7 +52,7 @@ class GeneratingExponent:
                     f"quadratic block must be {dim}x{dim}")
             for i in range(dim):
                 for j in range(i + 1, dim):
-                    if not _entries_equal(quad[i][j], quad[j][i]):
+                    if quad[i][j] != quad[j][i]:
                         raise ConstructionError(
                             f"quadratic block not symmetric at ({i},{j})")
         if lin is None:
@@ -88,7 +75,7 @@ class GeneratingExponent:
         for i in range(dim):
             for j in range(i, dim):
                 c = self.quad[i][j]
-                if _is_zero(c):
+                if not c:
                     continue
                 if i != j:
                     c = c + c
@@ -98,7 +85,7 @@ class GeneratingExponent:
                 yield expo, c
         for i in range(dim):
             c = self.lin[i]
-            if _is_zero(c):
+            if not c:
                 continue
             yield tuple(1 if k == i else 0 for k in range(dim)), c
 
@@ -112,149 +99,6 @@ class GeneratingExponent:
                 total += self.quad[i][j] * point[i] * point[j]
             total += self.lin[i] * point[i]
         return cmath.exp(total)
-
-
-def _entries_equal(a, b) -> bool:
-    try:
-        return bool(a == b)
-    except Exception:  # pragma: no cover
-        return False
-
-
-class TruncatedSeries:
-    """Sparse truncated power series over a generic coefficient ring.
-
-    Terms map exponent tuples to coefficients. Invariants: no stored term has
-    total degree above ``max_degree``, exceeds ``caps`` componentwise (when
-    given), or holds an exact-zero coefficient.
-    """
-
-    __slots__ = ("dim", "max_degree", "caps", "terms")
-
-    def __init__(self, dim: int, max_degree: int,
-                 caps: Optional[tuple] = None, terms=None):
-        self.dim = dim
-        self.max_degree = max_degree
-        self.caps = tuple(caps) if caps is not None else None
-        self.terms = {}
-        if terms:
-            for expo, coeff in terms.items():
-                expo = tuple(expo)
-                if len(expo) != dim:
-                    raise ConstructionError("term exponent dimension mismatch")
-                if self._keep(expo) and not _is_zero(coeff):
-                    self.terms[expo] = coeff
-
-    def _keep(self, expo) -> bool:
-        if sum(expo) > self.max_degree:
-            return False
-        if self.caps is not None and any(e > c for e, c in zip(expo, self.caps)):
-            return False
-        return True
-
-    @classmethod
-    def one(cls, dim: int, max_degree: int, caps=None) -> "TruncatedSeries":
-        return cls(dim, max_degree, caps, {(0,) * dim: 1.0})
-
-    def coefficient(self, expo):
-        """Coefficient of the given exponent tuple (0 when absent)."""
-        return self.terms.get(tuple(expo), 0.0)
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries) or other.dim != self.dim:
-            return NotImplemented
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = out.get(expo, 0) + c
-            if _is_zero(s):
-                out.pop(expo, None)
-            else:
-                out[expo] = s
-        return TruncatedSeries(self.dim,
-                               min(self.max_degree, other.max_degree),
-                               _merge_caps(self.caps, other.caps), out)
-
-    def scale(self, factor) -> "TruncatedSeries":
-        if _is_zero(factor):
-            return TruncatedSeries(self.dim, self.max_degree, self.caps)
-        return TruncatedSeries(
-            self.dim, self.max_degree, self.caps,
-            {e: factor * c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries) or other.dim != self.dim:
-            return NotImplemented
-        max_degree = min(self.max_degree, other.max_degree)
-        caps = _merge_caps(self.caps, other.caps)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > max_degree:
-                    continue
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                if caps is not None and any(e > c for e, c in zip(expo, caps)):
-                    continue
-                s = out.get(expo, 0) + c1 * c2
-                if _is_zero(s):
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
-        return TruncatedSeries(self.dim, max_degree, caps, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __repr__(self):
-        return (f"TruncatedSeries(dim={self.dim}, max_degree={self.max_degree}, "
-                f"terms={len(self.terms)})")
-
-
-def _merge_caps(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def _exp_monomial(dim, expo, coeff, max_degree, caps) -> TruncatedSeries:
-    """exp(coeff * u^expo) truncated: sum_j coeff^j/j! u^(j*expo)."""
-    deg = sum(expo)
-    jmax = max_degree // deg
-    if caps is not None:
-        for e, c in zip(expo, caps):
-            if e:
-                jmax = min(jmax, c // e)
-    terms = {(0,) * dim: 1.0}
-    power = 1.0
-    for j in range(1, jmax + 1):
-        power = power * coeff * (1.0 / j)
-        if _is_zero(power):
-            break
-        terms[tuple(e * j for e in expo)] = power
-    return TruncatedSeries(dim, max_degree, caps, terms)
-
-
-def series_exp(exponent: GeneratingExponent, max_degree: int,
-               caps: Optional[tuple] = None) -> TruncatedSeries:
-    """exp of a quadratic-plus-linear exponent, truncated at ``max_degree``.
-
-    The exponent is a finite sum of commuting monomials, so the exponential
-    factorizes exactly: exp(sum c_m u^m) = prod exp(c_m u^m). Each factor is a
-    short one-monomial series; the product is truncated as it is formed. The
-    constant part must be zero here (it is handled by the caller, where the
-    coefficient ring is known to support exp).
-    """
-    if not _is_zero(exponent.const):
-        raise ConstructionError(
-            "series_exp handles zero constant parts; exponentiate the constant separately")
-    out = TruncatedSeries.one(exponent.dim, max_degree, caps)
-    for expo, coeff in exponent.monomials():
-        out = out * _exp_monomial(exponent.dim, expo, coeff, max_degree, caps)
-    return out
 
 
 @dataclass(frozen=True)
@@ -273,126 +117,85 @@ class DerivativeSpec:
         return sum(self.orders)
 
 
-def _classify_ring(exponent: GeneratingExponent) -> str:
-    kind = "complex"
-    for row in exponent.quad:
-        for c in row:
-            k = _entry_kind(c)
-            kind = _promote(kind, k)
-    for c in exponent.lin:
-        kind = _promote(kind, _entry_kind(c))
-    kind = _promote(kind, _entry_kind(exponent.const))
-    return kind
+def coefficient_array(exponent: GeneratingExponent,
+                      spec: DerivativeSpec) -> np.ndarray:
+    """Taylor coefficients [u^j] exp(u^T quad u + lin . u) for every j <= k.
+
+    ``k`` is ``spec.orders``; the constant part and the prefactor are not
+    applied. The result is a complex array of shape ``(w, k_1+1, ...,
+    k_n+1)`` whose leading axis is a jet: ``w = 2`` (value, derivative) when
+    any quadratic or linear entry is a :class:`Dual`, otherwise ``w = 1``.
+
+    The exponent is a finite sum of commuting monomials c_m u^m, so the
+    exponential is the product of exp(c_m u^m) = sum_j c_m^j/j! u^(j m).
+    Multiplying by one factor adds c_m^j/j! times the array shifted by j*m
+    for each j; entries shifted past the orders are dropped, which is exact
+    because all exponents are non-negative.
+    """
+    return _coefficients(exponent, spec)
 
 
-def _entry_kind(c) -> str:
-    if isinstance(c, _NUMERIC):
-        return "complex"
-    if isinstance(c, Dual):
-        return "dual"
-    return "generic"
-
-
-def _promote(a: str, b: str) -> str:
-    order = {"complex": 0, "dual": 1, "generic": 2}
-    return a if order[a] >= order[b] else b
-
-
-def _dense_complex_partial(exponent: GeneratingExponent, orders) -> complex:
+# The engine proper. mixed_partial_at_zero calls it directly, so a layer
+# trace of this module counts one engine call per extraction.
+def _coefficients(exponent: GeneratingExponent,
+                  spec: DerivativeSpec) -> np.ndarray:
+    orders = tuple(spec.orders)
+    if len(orders) != exponent.dim:
+        raise ConstructionError("derivative orders do not match exponent dimension")
+    entries = [c for row in exponent.quad for c in row] + exponent.lin
+    jet = any(isinstance(c, Dual) for c in entries)
     shape = tuple(k + 1 for k in orders)
-    arr = np.zeros(shape, dtype=np.complex128)
-    arr[(0,) * exponent.dim] = 1.0
+    arr = np.zeros((2 if jet else 1,) + shape, dtype=np.complex128)
+    arr[(0,) * arr.ndim] = 1.0
     for expo, coeff in exponent.monomials():
         jmax = min((c // e for e, c in zip(expo, orders) if e),
                    default=0)
         if jmax == 0:
             continue
+        if jet:
+            if isinstance(coeff, Dual):
+                cv, cd = coeff.value, coeff.deriv
+            else:
+                cv, cd = complex(coeff), 0.0
+            fv, fd = 1.0, 0.0
+        else:
+            cv, fv = complex(coeff), 1.0 + 0j
         out = arr.copy()
-        fac = 1.0 + 0j
         for j in range(1, jmax + 1):
-            fac = fac * complex(coeff) / j
             src = tuple(slice(0, s - j * e) for s, e in zip(shape, expo))
             dst = tuple(slice(j * e, None) for e in expo)
-            out[dst] += fac * arr[src]
+            if jet:
+                fv, fd = fv * cv / j, (fd * cv + fv * cd) / j
+                out[1][dst] += fv * arr[1][src] + fd * arr[0][src]
+            else:
+                fv = fv * cv / j
+            out[0][dst] += fv * arr[0][src]
         arr = out
-    return complex(arr[tuple(orders)])
+    return arr
 
 
-def _dense_dual_partial(exponent: GeneratingExponent, orders) -> Dual:
-    shape = tuple(k + 1 for k in orders)
-    val = np.zeros(shape, dtype=np.complex128)
-    der = np.zeros(shape, dtype=np.complex128)
-    val[(0,) * exponent.dim] = 1.0
-    for expo, coeff in exponent.monomials():
-        jmax = min((c // e for e, c in zip(expo, orders) if e),
-                   default=0)
-        if jmax == 0:
-            continue
-        if not isinstance(coeff, Dual):
-            coeff = Dual(complex(coeff), 0.0)
-        out_v = val.copy()
-        out_d = der.copy()
-        fac = Dual(1.0, 0.0)
-        for j in range(1, jmax + 1):
-            fac = fac * coeff / j
-            src = tuple(slice(0, s - j * e) for s, e in zip(shape, expo))
-            dst = tuple(slice(j * e, None) for e in expo)
-            out_v[dst] += fac.value * val[src]
-            out_d[dst] += fac.value * der[src] + fac.deriv * val[src]
-        val = out_v
-        der = out_d
-    idx = tuple(orders)
-    return Dual(complex(val[idx]), complex(der[idx]))
-
-
-def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec,
-                          method: str = "auto"):
+def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec):
     """prefactor * (d^k / du^k) exp(exponent) at u = 0.
 
-    Equals ``prefactor * prod(k_i!) * [coefficient of u^k]`` in the series
-    expansion; caps at the target orders make the truncation exact. Numeric
-    coefficient rings ride a dense array path; Dual entries get a paired
-    value/derivative path; anything else (e.g. polynomial coefficients) uses
-    the sparse generic product.
+    Equals ``prefactor * prod(k_i!) * exp(const) * [u^k] exp(u^T quad u +
+    lin . u)``, read from the corner of :func:`coefficient_array`. Returns a
+    :class:`Dual` when any entry of the exponent is one, else a complex.
     """
-    if len(spec.orders) != exponent.dim:
-        raise ConstructionError("derivative orders do not match exponent dimension")
-    if method not in ("auto", "dense", "sparse"):
-        raise ConstructionError(f"unknown method {method!r}")
-    ring = _classify_ring(exponent) if method == "auto" else (
-        "generic" if method == "sparse" else _classify_ring(exponent))
-    orders = tuple(spec.orders)
-    fact = 1.0
-    for k in orders:
-        fact *= math.factorial(k)
-
-    const = exponent.const
-    if not _is_zero(const):
-        body = GeneratingExponent(exponent.dim, exponent.quad, exponent.lin, 0.0)
+    corner = _coefficients(exponent, spec)[(slice(None),) + tuple(spec.orders)]
+    if len(corner) == 2:
+        coeff = Dual(complex(corner[0]), complex(corner[1]))
     else:
-        body = exponent
-
-    if ring == "complex" and method != "sparse":
-        coeff = _dense_complex_partial(body, orders)
-    elif ring == "dual" and method != "sparse":
-        coeff = _dense_dual_partial(body, orders)
-    else:
-        series = series_exp(body, max_degree=spec.total, caps=orders)
-        coeff = series.coefficient(orders)
-
-    out = spec.prefactor * fact * coeff
-    if not _is_zero(const):
-        from .dual import d_exp
-        out = out * d_exp(const)
+        coeff = complex(corner[0])
+    out = spec.prefactor * math.prod(map(math.factorial, spec.orders)) * coeff
+    if exponent.const:
+        out = out * d_exp(exponent.const)
     return out
 
 
 __all__ = [
     "GeneratingExponent",
-    "TruncatedSeries",
     "DerivativeSpec",
-    "series_exp",
+    "coefficient_array",
     "mixed_partial_at_zero",
-    "Polynomial",
     "Dual",
 ]

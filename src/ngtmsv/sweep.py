@@ -1,17 +1,15 @@
 """Parameter sweeps, table emission, config parsing, and figure presets.
 
 A sweep walks the cartesian grid lambda x tau x phi in that order (lambda
-outermost), evaluates one quantity per point, and collects records that keep
-their grid order regardless of how many worker threads ran. Degenerate or
-stationary points are recorded with a status instead of aborting the sweep.
+outermost), evaluates one quantity per point, and collects records in grid
+order. Degenerate or stationary points are recorded with a status instead of
+aborting the sweep.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -213,22 +211,9 @@ def _evaluate(quantity: str, lam: float, spec: NGOperationSpec, phi: float,
     raise UsageError(f"quantity: unknown {quantity!r}")  # pragma: no cover
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("NGI_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"NGI_THREADS: must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise UsageError(f"NGI_THREADS: must be a positive integer, got {n}")
-    return min(n, os.cpu_count() or 1)
-
-
 def run_sweep(request: SweepRequest) -> list:
     """Evaluate the grid; records come back in grid order (lambda outermost,
-    then tau, then phi) regardless of worker count."""
+    then tau, then phi)."""
     grid = []
     for lam in request.lam_axis.values:
         for tau in request.tau_axis.values:
@@ -248,11 +233,7 @@ def run_sweep(request: SweepRequest) -> list:
         return SweepRecord(lam=lam, tau1=spec.tau1, tau2=spec.tau2, phi=phi,
                            value=value, status=status)
 
-    workers = _worker_count()
-    if workers == 1:
-        return [run_point(item) for item in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_point, grid))
+    return [run_point(item) for item in grid]
 
 
 def to_csv(records) -> str:

@@ -375,8 +375,7 @@ def test_criterion_7_engine_properties():
         f"exactly: {exact_one}")
 
 
-def test_criterion_8_cli_determinism_and_throughput(tmp_path, monkeypatch):
-    monkeypatch.delenv("NGI_THREADS", raising=False)  # time one worker
+def test_criterion_8_cli_determinism_and_throughput(tmp_path):
     first = tmp_path / "run1"
     second = tmp_path / "run2"
     rc1 = main(["figure", "fig2a", "--outdir", str(first)])

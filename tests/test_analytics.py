@@ -242,13 +242,17 @@ class TestWigner:
             assert wigner(lam, spec, pt) == pytest.approx(want, abs=1e-10), pt
 
     def test_kernel_matches_pointwise_evaluation(self):
-        lam = 0.5
-        spec = operation_from_table("asym-pa", 1, 0.6)
-        kernel = wigner_polynomial(lam, spec)
+        lam, tau = 0.4, 0.6
         rng = np.random.default_rng(11)
-        for _ in range(6):
-            pt = tuple(rng.uniform(-1.0, 1.0, size=4))
-            assert kernel(pt) == pytest.approx(wigner(lam, spec, pt), rel=1e-11)
+        for kind, n in [("asym-pa", 2), ("sym-ps", 2), ("asym-pc", 1),
+                        ("sym-pa", 1), ("sym-pc", 2)]:
+            spec = operation_from_table(kind, n, tau)
+            kernel = wigner_polynomial(lam, spec)
+            st_, _ = oracle.prepare_ng_state(lam, spec)
+            for _ in range(3):
+                pt = tuple(rng.uniform(-1.0, 1.0, size=4))
+                want = oracle.wigner_point(st_, pt)
+                assert kernel(pt) == pytest.approx(want, abs=1e-10), (kind, n, pt)
 
     def test_accepts_phase_space_point(self):
         pt = PhaseSpacePoint(0.1, 0.2, -0.3, 0.4)
@@ -258,6 +262,10 @@ class TestWigner:
     def test_point_validation(self):
         with pytest.raises(ParameterError):
             wigner(0.3, tmsv_spec(), (0.0, 0.0))
+        for bad in ("1234", None, 1.5, (0.0, "x", 0.0, 0.0),
+                    (0.0, 1j, 0.0, 0.0), (0.0, None, 0.0, 0.0)):
+            with pytest.raises(ParameterError):
+                wigner(0.3, tmsv_spec(), bad)
         with pytest.raises(ParameterError):
             PhaseSpacePoint(0.0, math.inf, 0.0, 0.0)
 

@@ -160,21 +160,14 @@ class TestRunSweep:
         assert statuses == ["stationary", "ok"]
 
     def test_thread_count_does_not_change_records(self, monkeypatch):
+        # sweeps run serially; a leftover NGI_THREADS setting is ignored
         req = SweepRequest(quantity="merit", lam_axis=Axis((0.3, 0.5, 0.7)),
                            tau_axis=Axis((0.6, 0.9)), preset="sym-ps-1")
         monkeypatch.delenv("NGI_THREADS", raising=False)
         serial = to_csv(run_sweep(req))
-        monkeypatch.setenv("NGI_THREADS", "3")
-        threaded = to_csv(run_sweep(req))
-        assert serial == threaded
-
-    def test_bad_thread_count(self, monkeypatch):
-        req = SweepRequest(quantity="probability", lam_axis=Axis.scalar(0.5),
-                           preset="tmsv")
-        for bad in ("0", "-2", "many"):
-            monkeypatch.setenv("NGI_THREADS", bad)
-            with pytest.raises(UsageError, match="NGI_THREADS"):
-                run_sweep(req)
+        for value in ("3", "0", "zero"):
+            monkeypatch.setenv("NGI_THREADS", value)
+            assert to_csv(run_sweep(req)) == serial
 
 
 class TestTables:
@@ -396,21 +389,16 @@ class TestSweepCommand:
         assert rc == 0
 
     def test_threads_env_does_not_change_output(self, monkeypatch, capsys):
+        # sweeps run serially; a leftover NGI_THREADS setting is ignored
         argv = ["sweep", "--quantity", "merit", "--preset", "asym-pa-1",
                 "--lambda", "0.2:0.6:3", "--tau", "0.5:0.9:2"]
         monkeypatch.delenv("NGI_THREADS", raising=False)
         assert main(argv) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("NGI_THREADS", "4")
-        assert main(argv) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_threads_env_validated(self, monkeypatch, capsys):
-        monkeypatch.setenv("NGI_THREADS", "zero")
-        rc = main(["sweep", "--quantity", "qfi", "--preset", "tmsv",
-                   "--lambda", "0.4"])
-        assert rc == 2
-        assert "NGI_THREADS" in capsys.readouterr().err
+        serial = capsys.readouterr()
+        for value in ("4", "zero"):
+            monkeypatch.setenv("NGI_THREADS", value)
+            assert main(argv) == 0
+            assert capsys.readouterr() == serial
 
 
 class TestFigureCommand:

@@ -1,8 +1,9 @@
-"""Tests for the dual numbers, the polynomial ring, and the series engine."""
+"""Tests for the dual numbers and the Taylor-coefficient engine."""
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,11 @@ from hypothesis import strategies as st
 
 from ngtmsv.dual import Dual, d_cos, d_exp, d_sin, d_sqrt
 from ngtmsv.errors import ConstructionError
-from ngtmsv.polynomial import Polynomial
 from ngtmsv.series import (
     DerivativeSpec,
     GeneratingExponent,
-    TruncatedSeries,
+    coefficient_array,
     mixed_partial_at_zero,
-    series_exp,
 )
 
 
@@ -94,48 +93,7 @@ class TestDual:
 
 
 # ---------------------------------------------------------------------------
-# polynomial ring
-# ---------------------------------------------------------------------------
-
-
-class TestPolynomial:
-    def test_square_of_sum(self):
-        x = Polynomial.variable(0, 2)
-        y = Polynomial.variable(1, 2)
-        sq = (x + y) * (x + y)
-        assert sq.terms == {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
-
-    def test_evaluation_matches_direct(self):
-        x = Polynomial.variable(0, 3)
-        z = Polynomial.variable(2, 3)
-        p = 2.0 * x * x - z + 5.0
-        pt = (1.5, -0.3, 2.0)
-        assert p(pt) == pytest.approx(2.0 * 1.5 ** 2 - 2.0 + 5.0)
-
-    def test_scalar_reflected_ops(self):
-        x = Polynomial.variable(0, 1)
-        assert (3.0 * x).terms == {(1,): 3.0}
-        assert (3.0 - x)((2.0,)) == pytest.approx(1.0)
-        assert (1j * x)((2.0,)) == pytest.approx(2j)
-
-    def test_cancellation_removes_terms(self):
-        x = Polynomial.variable(0, 1)
-        assert not (x - x)
-        assert (x - x) == 0
-
-    def test_degree(self):
-        x = Polynomial.variable(0, 2)
-        y = Polynomial.variable(1, 2)
-        assert (x * x * y + y).degree() == 3
-        assert Polynomial(2).degree() == 0
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ConstructionError):
-            Polynomial.variable(0, 2) + Polynomial.variable(0, 3)
-
-
-# ---------------------------------------------------------------------------
-# generating exponents and truncated series
+# generating exponents
 # ---------------------------------------------------------------------------
 
 
@@ -167,64 +125,48 @@ class TestGeneratingExponent:
             GeneratingExponent(2, None, [1.0])
 
 
-class TestTruncatedSeries:
-    def test_multiplication_truncates_by_total_degree(self):
-        x = TruncatedSeries(1, 2, None, {(1,): 1.0})
-        sq = x * x
-        assert sq.coefficient((2,)) == 1.0
-        cube = sq * x
-        assert cube.terms == {}
-
-    def test_caps_filter_terms(self):
-        s = TruncatedSeries(2, 10, (1, 1), {(2, 0): 1.0, (1, 1): 2.0})
-        assert s.coefficient((2, 0)) == 0.0
-        assert s.coefficient((1, 1)) == 2.0
-
-    def test_addition_cancels(self):
-        a = TruncatedSeries(1, 3, None, {(1,): 2.0})
-        b = TruncatedSeries(1, 3, None, {(1,): -2.0, (0,): 1.0})
-        assert (a + b).terms == {(0,): 1.0}
-
-    def test_series_exp_single_variable(self):
+class TestCoefficientArray:
+    def test_single_variable(self):
         # exp(a x): coefficient of x^k is a^k / k!
         a = 0.7 - 0.2j
-        g = GeneratingExponent(1, [[0.0]], [a])
-        s = series_exp(g, max_degree=5)
+        arr = coefficient_array(GeneratingExponent(1, [[0.0]], [a]),
+                                DerivativeSpec((5,)))
+        assert arr.shape == (1, 6)
         for k in range(6):
-            assert s.coefficient((k,)) == pytest.approx(a ** k / math.factorial(k))
+            assert arr[0, k] == pytest.approx(a ** k / math.factorial(k))
 
-    def test_series_exp_quadratic_term(self):
-        # exp(b x^2): coefficient of x^(2j) is b^j / j!
+    def test_quadratic_term(self):
+        # exp(b x^2): coefficient of x^(2j) is b^j / j!, odd powers vanish
         b = 0.35
-        g = GeneratingExponent(1, [[b]])
-        s = series_exp(g, max_degree=6)
-        assert s.coefficient((2,)) == pytest.approx(b)
-        assert s.coefficient((4,)) == pytest.approx(b ** 2 / 2.0)
-        assert s.coefficient((3,)) == 0.0
+        arr = coefficient_array(GeneratingExponent(1, [[b]]),
+                                DerivativeSpec((4,)))
+        assert arr[0, 2] == pytest.approx(b)
+        assert arr[0, 4] == pytest.approx(b ** 2 / 2.0)
+        assert arr[0, 1] == 0.0 and arr[0, 3] == 0.0
 
-    def test_series_exp_cross_term_hand_expansion(self):
+    def test_cross_term_hand_expansion(self):
         # exp(a s t + b s + c t): coefficient of s t is a + b c
         a, b, c = 0.5, 1.25, -2.0
         g = GeneratingExponent(2, [[0.0, a / 2.0], [a / 2.0, 0.0]], [b, c])
-        s = series_exp(g, max_degree=2)
-        assert s.coefficient((1, 1)) == pytest.approx(a + b * c)
+        arr = coefficient_array(g, DerivativeSpec((1, 2)))
+        assert arr.shape == (1, 2, 3)
+        assert arr[0, 1, 1] == pytest.approx(a + b * c)
+        assert arr[0, 0, 2] == pytest.approx(c ** 2 / 2.0)
 
-    def test_series_exp_rejects_constant(self):
-        g = GeneratingExponent(1, [[0.0]], [1.0], const=2.0)
-        with pytest.raises(ConstructionError):
-            series_exp(g, max_degree=2)
+    def test_dual_entries_add_derivative_row(self):
+        # exp(c x^2) with c = Dual(t, 1): d/dt [x^2] = 1, d/dt [x^4] = t
+        t = 0.4
+        arr = coefficient_array(GeneratingExponent(1, [[Dual(t, 1.0)]]),
+                                DerivativeSpec((4,)))
+        assert arr.shape == (2, 5)
+        assert arr[0, 4] == pytest.approx(t ** 2 / 2.0)
+        assert arr[1, 2] == pytest.approx(1.0)
+        assert arr[1, 4] == pytest.approx(t)
 
-    def test_series_exp_polynomial_coefficients(self):
-        # exp(s t / 2 + s z+ - t z-): coefficient of s t is 1/2 - z+ z-
-        zp = Polynomial.variable(0, 2)
-        zm = Polynomial.variable(1, 2)
-        g = GeneratingExponent(
-            2, [[0.0, 0.25], [0.25, 0.0]], [zp, -1.0 * zm])
-        s = series_exp(g, max_degree=2)
-        coeff = s.coefficient((1, 1))
-        assert isinstance(coeff, Polynomial)
-        expect = Polynomial.constant(2, 0.5) - zp * zm
-        assert coeff == expect
+    def test_ignores_constant_and_prefactor(self):
+        g = GeneratingExponent(1, None, [2.0], const=0.3)
+        arr = coefficient_array(g, DerivativeSpec((2,), prefactor=5.0))
+        assert arr[0, 2] == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +188,20 @@ def _finite_difference_partial(g, orders, h=1e-2):
             weight *= (-1) ** (k - j) * math.comb(k, j)
         total += weight * g.value_at(point)
     return total / h ** sum(orders)
+
+
+def _mpmath_partial(quad, lin, orders):
+    """Independent reference: mpmath's numerical mixed partial of
+    exp(u^T quad u + lin . u) at zero, worked at 40 significant digits."""
+    dim = len(lin)
+
+    def f(*u):
+        expo = sum(quad[i][j] * u[i] * u[j]
+                   for i in range(dim) for j in range(dim))
+        return mpmath.exp(expo + sum(lin[i] * u[i] for i in range(dim)))
+
+    with mpmath.workdps(40):
+        return complex(mpmath.diff(f, (0,) * dim, tuple(orders)))
 
 
 class TestMixedPartial:
@@ -282,7 +238,7 @@ class TestMixedPartial:
             approx = _finite_difference_partial(g, orders)
             assert exact == pytest.approx(approx, rel=1e-3, abs=1e-3)
 
-    def test_dense_and_sparse_routes_agree_fixed(self):
+    def test_matches_mpmath_reference_fixed(self):
         quad = [[0.1, 0.2, -0.3, 0.0],
                 [0.2, 0.0, 0.12, -0.07],
                 [-0.3, 0.12, 0.05, 0.21],
@@ -290,15 +246,15 @@ class TestMixedPartial:
         lin = [0.4, -0.1, 0.0, 0.25]
         g = GeneratingExponent(4, quad, lin)
         spec = DerivativeSpec((2, 1, 1, 2), prefactor=3.0)
-        dense = mixed_partial_at_zero(g, spec, method="dense")
-        sparse = mixed_partial_at_zero(g, spec, method="sparse")
-        assert dense == pytest.approx(sparse, rel=1e-12)
+        got = mixed_partial_at_zero(g, spec)
+        want = 3.0 * _mpmath_partial(quad, lin, spec.orders)
+        assert got == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-0.6, 0.6), min_size=6, max_size=6),
            st.lists(st.floats(-0.8, 0.8), min_size=3, max_size=3),
            st.lists(st.integers(0, 3), min_size=3, max_size=3))
-    def test_dense_and_sparse_routes_agree(self, upper, lin, orders):
+    def test_matches_mpmath_reference(self, upper, lin, orders):
         quad = [[0.0] * 3 for _ in range(3)]
         k = 0
         for i in range(3):
@@ -307,21 +263,9 @@ class TestMixedPartial:
                 quad[j][i] = upper[k]
                 k += 1
         g = GeneratingExponent(3, quad, lin)
-        spec = DerivativeSpec(tuple(orders))
-        dense = mixed_partial_at_zero(g, spec, method="dense")
-        sparse = mixed_partial_at_zero(g, spec, method="sparse")
-        assert cmath.isclose(dense, sparse, rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_truncation_soundness_extra_caps_change_nothing(self):
-        # computing with generous caps must agree with exact per-order caps
-        quad = [[0.3, -0.2], [-0.2, 0.1]]
-        g = GeneratingExponent(2, quad, [0.5, 0.7])
-        orders = (2, 3)
-        exact = mixed_partial_at_zero(g, DerivativeSpec(orders), method="sparse")
-        generous = series_exp(g, max_degree=sum(orders) + 4,
-                              caps=tuple(k + 2 for k in orders))
-        fact = math.factorial(2) * math.factorial(3)
-        assert exact == pytest.approx(fact * generous.coefficient(orders))
+        got = mixed_partial_at_zero(g, DerivativeSpec(tuple(orders)))
+        want = _mpmath_partial(quad, lin, orders)
+        assert cmath.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_dual_coefficients_differentiate(self):
         # exponent c(t) x^2 with c = t at t0: d/dt of (d^2/dx^2 exp) = 2
@@ -351,24 +295,13 @@ class TestMixedPartial:
         assert out.value == pytest.approx((hi + lo) / 2, rel=1e-8)
         assert out.deriv == pytest.approx(fd.real, rel=1e-6)
 
-    def test_polynomial_coefficients_supported(self):
-        # linear part carrying a polynomial variable: d/ds exp(z s) = z
-        z = Polynomial.variable(0, 1)
-        g = GeneratingExponent(1, None, [z])
-        out = mixed_partial_at_zero(g, DerivativeSpec((1,)))
-        assert isinstance(out, Polynomial)
-        assert out == z
-
     def test_order_dimension_mismatch(self):
         g = GeneratingExponent(2)
         with pytest.raises(ConstructionError):
             mixed_partial_at_zero(g, DerivativeSpec((1,)))
+        with pytest.raises(ConstructionError):
+            coefficient_array(g, DerivativeSpec((1,)))
 
     def test_negative_orders_rejected(self):
         with pytest.raises(ConstructionError):
             DerivativeSpec((1, -1))
-
-    def test_unknown_method_rejected(self):
-        g = GeneratingExponent(1)
-        with pytest.raises(ConstructionError):
-            mixed_partial_at_zero(g, DerivativeSpec((0,)), method="magic")
