@@ -11,6 +11,7 @@ when that probability is below the representable floor.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -119,13 +120,19 @@ def _probability_core(params: ModelParams, spec: NGOperationSpec) -> float:
     return max(core, 0.0)
 
 
-def success_probability(lam: float, spec: NGOperationSpec) -> float:
-    """Probability of heralding the requested ancilla photon numbers."""
+def _heralding(lam: float, spec: NGOperationSpec):
+    """(params, probability core, heralding probability) at one point."""
     params = derive_params(lam, spec)
-    p = _probability_core(params, spec) / params.base_norm
+    core = _probability_core(params, spec)
+    p = core / params.base_norm
     if p > 1.0 + _RESIDUE_TOL:
         raise ConsistencyError(f"heralding probability {p} exceeds 1")
-    return min(p, 1.0)
+    return params, core, min(p, 1.0)
+
+
+def success_probability(lam: float, spec: NGOperationSpec) -> float:
+    """Probability of heralding the requested ancilla photon numbers."""
+    return _heralding(lam, spec)[2]
 
 
 def wigner(lam: float, spec: NGOperationSpec, point) -> float:
@@ -198,26 +205,37 @@ def moment(lam: float, spec: NGOperationSpec, idx,
         raise ParameterError(
             f"moment total order {sum(idx)} exceeds cap {max_total}")
     params = derive_params(lam, spec)
+    return _moment(params, spec, idx, _moment_denominator(params, spec))
+
+
+def _moment_denominator(params: ModelParams, spec: NGOperationSpec) -> complex:
+    """The heralding core every moment is normalized by, checked once."""
+    den = _herald_core(params, spec, probability_form(params))
+    if abs(_real(den, "moment denominator")) / params.base_norm < _PROB_FLOOR:
+        raise DegenerateOperationError(
+            "heralding probability underflows; moments undefined")
+    return den
+
+
+def _moment(params: ModelParams, spec: NGOperationSpec, idx: tuple,
+            den: complex) -> float:
     dspec = spec.derivative_spec()
     num = mixed_partial_at_zero(
         moment_exponent(params),
         DerivativeSpec(dspec.orders + idx, dspec.prefactor))
-    den = _herald_core(params, spec, probability_form(params))
-    den_re = _real(den, "moment denominator")
-    if abs(den_re) / params.base_norm < _PROB_FLOOR:
-        raise DegenerateOperationError(
-            "heralding probability underflows; moments undefined")
     if idx == (0, 0, 0, 0):
         # numerator and denominator are the same arithmetic; keep it exact
         return float((num / den).real)
-    return _real(num, "moment numerator") / den_re
+    return _real(num, "moment numerator") / den.real
 
 
 def j2_second_moment(lam: float, spec: NGOperationSpec) -> float:
     """<J2^2> of the heralded state (J2 generates the interferometer phase)."""
-    m_qp = moment(lam, spec, (2, 0, 0, 2))
-    m_pq = moment(lam, spec, (0, 2, 2, 0))
-    m_x = moment(lam, spec, (1, 1, 1, 1))
+    params = derive_params(lam, spec)
+    den = _moment_denominator(params, spec)
+    m_qp = _moment(params, spec, (2, 0, 0, 2), den)
+    m_pq = _moment(params, spec, (0, 2, 2, 0), den)
+    m_x = _moment(params, spec, (1, 1, 1, 1), den)
     return -0.125 + 0.25 * m_qp + 0.25 * m_pq - 0.5 * m_x
 
 
@@ -243,7 +261,11 @@ def parity_expectation(lam: float, spec: NGOperationSpec, phi):
     d(phi)/d(parameter) (returns the signal and its derivative).
     """
     params = derive_params(lam, spec)
-    den = _probability_core(params, spec)
+    return _parity(params, spec, phi, _probability_core(params, spec))
+
+
+def _parity(params: ModelParams, spec: NGOperationSpec, phi, den: float):
+    """The parity signal normalized by the probability core ``den``."""
     if den / params.base_norm < _PROB_FLOOR:
         raise DegenerateOperationError(
             "heralding probability underflows; parity signal undefined")
@@ -266,7 +288,13 @@ def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
     Evaluated at the operating point ``phi`` (the signal is differentiated at
     ``phi + pi/2``, where the parity fringe crosses its steep region).
     """
-    fd = parity_expectation(lam, spec, Dual(phi + math.pi / 2.0, 1.0))
+    params = derive_params(lam, spec)
+    return _sensitivity(params, spec, phi, _probability_core(params, spec))
+
+
+def _sensitivity(params: ModelParams, spec: NGOperationSpec, phi: float,
+                 den: float) -> float:
+    fd = _parity(params, spec, Dual(phi + math.pi / 2.0, 1.0), den)
     slope = fd.deriv
     if abs(slope) < _SLOPE_FLOOR:
         raise StationaryPointError(
@@ -277,16 +305,24 @@ def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
     return math.sqrt(max(variance, 0.0)) / abs(slope)
 
 
+# A sweep row holds lam and phi fixed while tau varies, so the last
+# reference is the one asked for next. Exceptions are never cached.
+@functools.lru_cache(maxsize=1, typed=True)
+def _tmsv_reference(lam: float, phi: float) -> float:
+    return phase_sensitivity(lam, tmsv_spec(), phi)
+
+
 def merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
     """Sensitivity gain over the unmodified squeezed vacuum at the same lam:
     positive when the heralded state resolves phase better."""
-    ref = phase_sensitivity(lam, tmsv_spec(), phi)
+    ref = _tmsv_reference(lam, phi)
     return ref - phase_sensitivity(lam, spec, phi)
 
 
 def weighted_merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
     """Merit weighted by the heralding probability (resource-aware gain)."""
-    return success_probability(lam, spec) * merit(lam, spec, phi)
+    params, den, prob = _heralding(lam, spec)
+    return prob * (_tmsv_reference(lam, phi) - _sensitivity(params, spec, phi, den))
 
 
 @dataclass(frozen=True)
@@ -319,12 +355,12 @@ class SensitivityReport:
 def sensitivity_report(lam: float, spec: NGOperationSpec,
                        phi: float) -> SensitivityReport:
     """Compute all figures of merit at one operating point."""
-    prob = success_probability(lam, spec)
-    parity = parity_expectation(lam, spec, phi)
-    dphi = phase_sensitivity(lam, spec, phi)
+    params, den, prob = _heralding(lam, spec)
+    parity = _parity(params, spec, phi, den)
+    dphi = _sensitivity(params, spec, phi, den)
     fisher = qfi(lam, spec)
     bound = 1.0 / math.sqrt(fisher)
-    gain = phase_sensitivity(lam, tmsv_spec(), phi) - dphi
+    gain = _tmsv_reference(lam, phi) - dphi
     return SensitivityReport(
         lam=lam, spec=spec, phi=phi, probability=prob, parity=parity,
         delta_phi=dphi, qfi=fisher, delta_phi_min=bound, merit=gain,

@@ -243,9 +243,7 @@ def _herald_quad(p: ModelParams, sign: float):
         [y1, 0.0, 0.0, c2, w, 0.0, 0.0, z2],
         [0.0, y1, c2, 0.0, 0.0, w, z2, 0.0],
     ]
-    out = [[s * c for c in row] for row in mat]
-    _check_symmetric(out, "herald quadratic form")
-    return out
+    return [[s * c for c in row] for row in mat]
 
 
 def wigner_aux_form(p: ModelParams):
@@ -370,8 +368,9 @@ def parity_aux(p: ModelParams, phi) -> ParityAux:
 
 def parity_form(p: ModelParams, aux: ParityAux):
     """8x8 quadratic form in u for the parity-signal numerator."""
-    w = aux.weights
-    pattern = [
+    scale = -1.0 / (4.0 * aux.weights[0])
+    w = [scale * c for c in aux.weights]
+    return [
         [w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]],
         [w[2], w[1], w[4], w[3], w[6], w[5], w[8], w[7]],
         [w[3], w[4], w[9], w[10], w[11], w[12], w[13], w[14]],
@@ -381,10 +380,6 @@ def parity_form(p: ModelParams, aux: ParityAux):
         [w[7], w[8], w[13], w[14], w[17], w[18], w[19], w[20]],
         [w[8], w[7], w[14], w[13], w[18], w[17], w[20], w[19]],
     ]
-    scale = -1.0 / (4.0 * w[0])
-    mat = [[scale * c for c in row] for row in pattern]
-    _check_symmetric(mat, "parity form")
-    return mat
 
 
 def moment_exponent(p: ModelParams) -> GeneratingExponent:

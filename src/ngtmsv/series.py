@@ -14,7 +14,10 @@ formal variables. This module provides:
 Truncation soundness: all exponents are non-negative, so a product term at
 an exponent within the orders can only arise from factor terms bounded by
 it componentwise. Dropping everything beyond the orders never changes the
-kept coefficients.
+kept coefficients. In particular a variable of order 0 only ever appears at
+power 0 in a kept coefficient, so the engine sets it to zero: monomials that
+touch it are dropped, the array is built over the remaining variables, and
+size-1 axes are restored at the end.
 """
 
 from __future__ import annotations
@@ -65,29 +68,32 @@ class GeneratingExponent:
         self.lin = lin
         self.const = const
 
-    def monomials(self):
+    def monomials(self, variables=None):
         """Yield (exponent_tuple, coefficient) with exact zero entries skipped.
 
+        ``variables`` (default: all, in order) restricts the exponent to the
+        sub-vector of those variables; exponent tuples then index it.
         Iteration order is deterministic: quadratic entries row-major with
         i <= j (off-diagonal coefficients doubled), then linear entries.
         """
-        dim = self.dim
-        for i in range(dim):
-            for j in range(i, dim):
-                c = self.quad[i][j]
+        var = tuple(range(self.dim) if variables is None else variables)
+        n = len(var)
+        for a, i in enumerate(var):
+            for b in range(a, n):
+                c = self.quad[i][var[b]]
                 if not c:
                     continue
-                if i != j:
+                if a != b:
                     c = c + c
                 expo = tuple(
-                    (2 if k == i == j else 1 if k in (i, j) else 0)
-                    for k in range(dim))
+                    (2 if k == a == b else 1 if k in (a, b) else 0)
+                    for k in range(n))
                 yield expo, c
-        for i in range(dim):
+        for a, i in enumerate(var):
             c = self.lin[i]
             if not c:
                 continue
-            yield tuple(1 if k == i else 0 for k in range(dim)), c
+            yield tuple(1 if k == a else 0 for k in range(n)), c
 
     def value_at(self, point: Sequence[complex]) -> complex:
         """Numeric value of exp(exponent) at a numeric point (numeric entries only)."""
@@ -144,12 +150,15 @@ def _coefficients(exponent: GeneratingExponent,
         raise ConstructionError("derivative orders do not match exponent dimension")
     entries = [c for row in exponent.quad for c in row] + exponent.lin
     jet = any(isinstance(c, Dual) for c in entries)
-    shape = tuple(k + 1 for k in orders)
+    # Variables with order 0 are set to zero: every monomial touching one
+    # would be skipped below anyway, so the array is built over the rest.
+    active = [i for i, k in enumerate(orders) if k]
+    sub = tuple(orders[i] for i in active)
+    shape = tuple(k + 1 for k in sub)
     arr = np.zeros((2 if jet else 1,) + shape, dtype=np.complex128)
     arr[(0,) * arr.ndim] = 1.0
-    for expo, coeff in exponent.monomials():
-        jmax = min((c // e for e, c in zip(expo, orders) if e),
-                   default=0)
+    for expo, coeff in exponent.monomials(active):
+        jmax = min(c // e for e, c in zip(expo, sub) if e)
         if jmax == 0:
             continue
         if jet:
@@ -171,7 +180,7 @@ def _coefficients(exponent: GeneratingExponent,
                 fv = fv * cv / j
             out[0][dst] += fv * arr[0][src]
         arr = out
-    return arr
+    return arr.reshape(arr.shape[:1] + tuple(k + 1 for k in orders))
 
 
 def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec):

@@ -9,6 +9,7 @@ Closed-form targets used below (squeezing parameter lam = tanh r):
 * bare Fisher information 4 lam^2/(1-lam^2)^2 and bound (1-lam^2)/(2 lam)
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -334,6 +335,46 @@ class TestReports:
         ref = phase_sensitivity(lam, tmsv_spec(), phi)
         got = phase_sensitivity(lam, spec, phi)
         assert merit(lam, spec, phi) == pytest.approx(ref - got, rel=1e-12)
+
+    def test_figures_of_merit_digest(self):
+        # Pins every report field, merit and weighted_merit to the last bit
+        # on 6 kinds x n in {1, 2} x 3 points: work that is shared or skipped
+        # must never change an output.
+        rows = []
+        for kind in ("asym-ps", "asym-pa", "asym-pc", "sym-ps", "sym-pa", "sym-pc"):
+            for n in (1, 2):
+                for lam, tau, phi in ((0.3, 0.7, 0.01), (0.6, 0.4, 0.2),
+                                      (0.9, 0.95, 0.5)):
+                    spec = operation_from_table(kind, n, tau)
+                    rep = sensitivity_report(lam, spec, phi)
+                    rows.append(repr((
+                        rep.probability, rep.parity, rep.delta_phi, rep.qfi,
+                        rep.delta_phi_min, rep.merit, rep.weighted_merit,
+                        weighted_merit(lam, spec, phi), merit(lam, spec, phi))) + "\n")
+        digest = hashlib.sha256("".join(rows).encode()).hexdigest()
+        assert digest == (
+            "fd92ca6cee0192eefa07bc26e650faf16d72c3f11ed5b4720fd033112a58c8e3")
+
+    def test_reference_reused_across_calls(self):
+        # merit and weighted_merit share the bare-TMSV reference per
+        # (lam, phi); interleaving keys must give the uncached values bit for bit
+        spec = operation_from_table("asym-pa", 1, 0.6)
+        for lam, phi in ((0.5, 0.2), (0.5, 0.3), (0.6, 0.2), (0.5, 0.2)):
+            want = (phase_sensitivity(lam, tmsv_spec(), phi)
+                    - phase_sensitivity(lam, spec, phi))
+            assert merit(lam, spec, phi) == want
+            assert weighted_merit(lam, spec, phi) == (
+                success_probability(lam, spec) * want)
+            assert merit(lam, spec, phi) == want
+
+    def test_stationary_reference_raises_every_call(self):
+        # an exception from the reference is never remembered as a value
+        spec = operation_from_table("asym-ps", 1, 0.7)
+        with pytest.raises(StationaryPointError):
+            phase_sensitivity(0.5, tmsv_spec(), 0.0)
+        for fn in (merit, weighted_merit, merit):
+            with pytest.raises(StationaryPointError):
+                fn(0.5, spec, 0.0)
 
 
 class TestResidueGuard:

@@ -306,6 +306,39 @@ class TestSweepCommand:
             "0.5,0.9,0.9,0.01,0.27214795233106176,ok",
         ]
 
+    def test_csv_golden_weighted_merit(self, capsys):
+        rc = main(["sweep", "--quantity", "weighted_merit", "--preset",
+                   "asym-pa-1", "--lambda", "0.5", "--tau", "0.1:0.9:3",
+                   "--phi", "0.01"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines() == [
+            CSV_HEADER,
+            "0.5,1.0,0.1,0.01,-0.14278487631610842,ok",
+            "0.5,1.0,0.5,0.01,-0.013621296364821855,ok",
+            "0.5,1.0,0.9,0.01,0.01462706848569998,ok",
+        ]
+
+    def test_csv_golden_merit_two_photons(self, capsys):
+        rc = main(["sweep", "--quantity", "merit", "--preset", "sym-pc-2",
+                   "--lambda", "0.3:0.6:2", "--tau", "0.5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines() == [
+            CSV_HEADER,
+            "0.3,0.5,0.5,0.01,-0.8030191804012285,ok",
+            "0.6,0.5,0.5,0.01,-0.20438950290021407,ok",
+        ]
+
+    def test_csv_golden_merit_stationary_reference(self, capsys):
+        # at phi = 0 the parity fringe is flat, the reference included
+        rc = main(["sweep", "--quantity", "merit", "--preset", "asym-ps-1",
+                   "--lambda", "0.5", "--tau", "0.7", "--phi", "0.0",
+                   "--allow-partial"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines() == [CSV_HEADER, "0.5,1.0,0.7,0.0,,stationary"]
+
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         argv = ["sweep", "--quantity", "probability", "--preset", "asym-pc-1",
                 "--lambda", "0.3", "--tau", "0.2:0.8:3"]

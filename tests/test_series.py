@@ -169,6 +169,74 @@ class TestCoefficientArray:
         assert arr[0, 2] == pytest.approx(2.0)
 
 
+class TestZeroOrderVariables:
+    """Variables of order 0 are set to zero; nothing they carry may leak in."""
+
+    # variables 1 and 3 are active, 0 and 2 have order 0
+    ORDERS = (0, 2, 0, 1)
+
+    @staticmethod
+    def _exponent(inactive):
+        # `inactive` fills every quad/lin entry that touches variable 0 or 2
+        quad = [[0.0] * 4 for _ in range(4)]
+        lin = [0.0, -0.4 + 0.1j, 0.0, 0.7]
+        quad[1][1] = 0.3 - 0.2j
+        quad[3][3] = 0.25
+        quad[1][3] = quad[3][1] = -0.15
+        for i in (0, 2):
+            lin[i] = inactive
+            for j in range(4):
+                quad[i][j] = quad[j][i] = inactive
+        return GeneratingExponent(4, quad, lin)
+
+    @pytest.mark.parametrize("inactive", [1.3 - 0.6j, Dual(0.8, -2.0)])
+    def test_entries_on_inactive_variables_change_nothing(self, inactive):
+        spec = DerivativeSpec(self.ORDERS, prefactor=-1.5)
+        jet = isinstance(inactive, Dual)
+        bare = self._exponent(Dual(0.0, 0.0) if jet else 0.0)
+        loaded = self._exponent(inactive)
+        want = coefficient_array(bare, spec)
+        got = coefficient_array(loaded, spec)
+        assert got.shape == want.shape == (2 if jet else 1, 1, 3, 1, 2)
+        assert np.array_equal(got, want)
+        assert repr(mixed_partial_at_zero(loaded, spec)) == repr(
+            mixed_partial_at_zero(bare, spec))
+
+    def test_shape_keeps_size_one_axes(self):
+        g = GeneratingExponent(3, [[0.1, 0.2, 0.0], [0.2, 0.0, 0.3],
+                                   [0.0, 0.3, 0.5]], [1.0, 2.0, 3.0])
+        for orders in ((0, 0, 0), (0, 3, 0), (2, 0, 1)):
+            arr = coefficient_array(g, DerivativeSpec(orders))
+            assert arr.shape == (1,) + tuple(k + 1 for k in orders)
+        assert coefficient_array(g, DerivativeSpec((0, 0, 0)))[0, 0, 0, 0] == 1.0
+
+    def test_dual_only_on_inactive_variable_keeps_jet(self):
+        # the derivative row is present but zero: nothing active depends on t
+        g = GeneratingExponent(2, [[0.4, 0.0], [0.0, Dual(0.2, 1.0)]], [0.5, 0.0])
+        arr = coefficient_array(g, DerivativeSpec((2, 0)))
+        assert arr.shape == (2, 3, 1)
+        assert not arr[1].any()
+        assert arr[0, 2, 0] == pytest.approx(0.4 + 0.5 ** 2 / 2.0)
+        out = mixed_partial_at_zero(g, DerivativeSpec((2, 0)))
+        assert isinstance(out, Dual) and out.deriv == 0
+
+    def test_diagonal_square_needs_order_two(self):
+        # u0^2 cannot reach order 1 in u0, so with orders (1, 1) only the
+        # cross and linear terms count: [u0 u1] = 2*q01 + l0*l1
+        q01, l0, l1 = 0.35, 0.6, -1.1
+        for diag in (0.0, 0.9 + 0.4j):
+            g = GeneratingExponent(2, [[diag, q01], [q01, diag]], [l0, l1])
+            arr = coefficient_array(g, DerivativeSpec((1, 1)))
+            assert arr[0, 1, 1] == 2 * q01 + l0 * l1
+            assert arr[0, 1, 0] == l0 and arr[0, 0, 1] == l1
+
+    def test_monomials_restricted_to_variables(self):
+        g = GeneratingExponent(3, [[0.1, 0.2, 0.0], [0.2, 0.0, 0.3],
+                                   [0.0, 0.3, 0.5]], [1.0, 0.0, 3.0])
+        assert list(g.monomials([0, 2])) == [
+            ((2, 0), 0.1), ((0, 2), 0.5), ((1, 0), 1.0), ((0, 1), 3.0)]
+
+
 # ---------------------------------------------------------------------------
 # mixed partial extraction
 # ---------------------------------------------------------------------------
