@@ -76,10 +76,7 @@ class PhaseSpacePoint:
     p2: float
 
     def __post_init__(self):
-        for name in ("q1", "p1", "q2", "p2"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ParameterError(f"phase-space coordinate {name} must be finite")
+        _as_point(self.as_tuple())  # the same check as any other point
 
     def as_tuple(self) -> tuple:
         return (self.q1, self.p1, self.q2, self.p2)
@@ -112,22 +109,28 @@ def _herald_core(params: ModelParams, spec: NGOperationSpec, quad) -> complex:
                                  spec.derivative_spec())
 
 
-def _probability_core(params: ModelParams, spec: NGOperationSpec) -> float:
+def _heralding(lam: float, spec: NGOperationSpec):
+    """(params, probability core, heralding probability) at one point.
+
+    The only place the heralding core is computed: every normalized quantity
+    divides by the core returned here.
+    """
+    params = derive_params(lam, spec)
     core = _real(_herald_core(params, spec, probability_form(params)),
                  "heralding probability")
     if core < -_RESIDUE_TOL:
         raise ConsistencyError(f"heralding probability core is negative ({core:.3e})")
-    return max(core, 0.0)
-
-
-def _heralding(lam: float, spec: NGOperationSpec):
-    """(params, probability core, heralding probability) at one point."""
-    params = derive_params(lam, spec)
-    core = _probability_core(params, spec)
+    core = max(core, 0.0)
     p = core / params.base_norm
     if p > 1.0 + _RESIDUE_TOL:
         raise ConsistencyError(f"heralding probability {p} exceeds 1")
     return params, core, min(p, 1.0)
+
+
+def _check_floor(prob: float, what: str) -> None:
+    if prob < _PROB_FLOOR:
+        raise DegenerateOperationError(
+            f"heralding probability underflows; {what} undefined")
 
 
 def success_probability(lam: float, spec: NGOperationSpec) -> float:
@@ -174,12 +177,9 @@ class WignerKernel:
 def wigner_polynomial(lam: float, spec: NGOperationSpec) -> WignerKernel:
     """Closed-form Wigner kernel: one coefficient array of the heralding
     generating function, contracted against each point on call."""
-    params = derive_params(lam, spec)
-    pcore = _probability_core(params, spec)
-    prob = pcore / params.base_norm
-    if prob < _PROB_FLOOR:
-        raise DegenerateOperationError(
-            "heralding probability underflows; normalized Wigner undefined")
+    params, core, _ = _heralding(lam, spec)
+    prob = core / params.base_norm  # unclamped: the kernel integrates to 1
+    _check_floor(prob, "normalized Wigner")
     dspec = spec.derivative_spec()
     fact = math.prod(map(math.factorial, dspec.orders))
     arr = coefficient_array(GeneratingExponent(8, wigner_aux_form(params)), dspec)
@@ -196,7 +196,7 @@ def moment(lam: float, spec: NGOperationSpec, idx,
 
     ``idx = (a1, b1, a2, b2)`` are derivative orders on the moment source
     vector; the total order is capped (default 4). Index (0,0,0,0) returns
-    exactly 1.0.
+    exactly 1.0: its numerator is the same arithmetic as the core.
     """
     idx = tuple(idx)
     if len(idx) != 4 or any((not isinstance(k, int)) or k < 0 for k in idx):
@@ -204,35 +204,29 @@ def moment(lam: float, spec: NGOperationSpec, idx,
     if sum(idx) > max_total:
         raise ParameterError(
             f"moment total order {sum(idx)} exceeds cap {max_total}")
-    params = derive_params(lam, spec)
-    return _moment(params, spec, idx, _moment_denominator(params, spec))
-
-
-def _moment_denominator(params: ModelParams, spec: NGOperationSpec) -> complex:
-    """The heralding core every moment is normalized by, checked once."""
-    den = _herald_core(params, spec, probability_form(params))
-    if abs(_real(den, "moment denominator")) / params.base_norm < _PROB_FLOOR:
-        raise DegenerateOperationError(
-            "heralding probability underflows; moments undefined")
-    return den
+    params, den, prob = _heralding(lam, spec)
+    _check_floor(prob, "moments")
+    return _moment(params, spec, idx, den)
 
 
 def _moment(params: ModelParams, spec: NGOperationSpec, idx: tuple,
-            den: complex) -> float:
+            den: float) -> float:
+    """One moment normalized by the probability core ``den``."""
     dspec = spec.derivative_spec()
     num = mixed_partial_at_zero(
         moment_exponent(params),
         DerivativeSpec(dspec.orders + idx, dspec.prefactor))
-    if idx == (0, 0, 0, 0):
-        # numerator and denominator are the same arithmetic; keep it exact
-        return float((num / den).real)
-    return _real(num, "moment numerator") / den.real
+    return _real(num, "moment numerator") / den
 
 
 def j2_second_moment(lam: float, spec: NGOperationSpec) -> float:
     """<J2^2> of the heralded state (J2 generates the interferometer phase)."""
-    params = derive_params(lam, spec)
-    den = _moment_denominator(params, spec)
+    params, den, prob = _heralding(lam, spec)
+    _check_floor(prob, "moments")
+    return _j2(params, spec, den)
+
+
+def _j2(params: ModelParams, spec: NGOperationSpec, den: float) -> float:
     m_qp = _moment(params, spec, (2, 0, 0, 2), den)
     m_pq = _moment(params, spec, (0, 2, 2, 0), den)
     m_x = _moment(params, spec, (1, 1, 1, 1), den)
@@ -241,7 +235,11 @@ def j2_second_moment(lam: float, spec: NGOperationSpec) -> float:
 
 def qfi(lam: float, spec: NGOperationSpec) -> float:
     """Quantum Fisher information 4<J2^2> (first moment of J2 vanishes)."""
-    value = 4.0 * j2_second_moment(lam, spec)
+    return _qfi(j2_second_moment(lam, spec))
+
+
+def _qfi(j2: float) -> float:
+    value = 4.0 * j2
     if value <= 0.0:
         raise DegenerateStateError(
             f"quantum Fisher information {value:.3e} is not positive; "
@@ -260,15 +258,13 @@ def parity_expectation(lam: float, spec: NGOperationSpec, phi):
     ``phi`` may be a float (returns float) or a :class:`Dual` seeded with
     d(phi)/d(parameter) (returns the signal and its derivative).
     """
-    params = derive_params(lam, spec)
-    return _parity(params, spec, phi, _probability_core(params, spec))
+    params, den, _ = _heralding(lam, spec)
+    return _parity(params, spec, phi, den)
 
 
 def _parity(params: ModelParams, spec: NGOperationSpec, phi, den: float):
     """The parity signal normalized by the probability core ``den``."""
-    if den / params.base_norm < _PROB_FLOOR:
-        raise DegenerateOperationError(
-            "heralding probability underflows; parity signal undefined")
+    _check_floor(den / params.base_norm, "parity signal")
     aux = parity_aux(params, phi)
     num = _herald_core(params, spec, parity_form(params, aux))
     if isinstance(num, Dual):
@@ -288,8 +284,8 @@ def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
     Evaluated at the operating point ``phi`` (the signal is differentiated at
     ``phi + pi/2``, where the parity fringe crosses its steep region).
     """
-    params = derive_params(lam, spec)
-    return _sensitivity(params, spec, phi, _probability_core(params, spec))
+    params, den, _ = _heralding(lam, spec)
+    return _sensitivity(params, spec, phi, den)
 
 
 def _sensitivity(params: ModelParams, spec: NGOperationSpec, phi: float,
@@ -358,7 +354,7 @@ def sensitivity_report(lam: float, spec: NGOperationSpec,
     params, den, prob = _heralding(lam, spec)
     parity = _parity(params, spec, phi, den)
     dphi = _sensitivity(params, spec, phi, den)
-    fisher = qfi(lam, spec)
+    fisher = _qfi(_j2(params, spec, den))
     bound = 1.0 / math.sqrt(fisher)
     gain = _tmsv_reference(lam, phi) - dphi
     return SensitivityReport(

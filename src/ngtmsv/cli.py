@@ -29,26 +29,17 @@ from .sweep import (
 )
 
 
-def _parse_int_tuple(text: str, key: str, count: int) -> tuple:
+def _parse_tuple(text: str, key: str, count: int, cast, noun: str) -> tuple:
+    """Parse ``count`` comma-separated values with ``cast``; ``noun`` names
+    them in errors ("integers", "numbers")."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
-        raise UsageError(f"{key}: expected {count} comma-separated integers, "
+        raise UsageError(f"{key}: expected {count} comma-separated {noun}, "
                          f"got {text!r}")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(cast(p) for p in parts)
     except ValueError:
-        raise UsageError(f"{key}: expected integers, got {text!r}") from None
-
-
-def _parse_float_tuple(text: str, key: str, count: int) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
-        raise UsageError(f"{key}: expected {count} comma-separated numbers, "
-                         f"got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"{key}: expected numbers, got {text!r}") from None
+        raise UsageError(f"{key}: expected {noun}, got {text!r}") from None
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -63,7 +54,7 @@ def _parse_bool(text: str, key: str) -> bool:
 def _parse_tau(text: str):
     """tau accepts a scalar, a start:stop:count axis, or a t1,t2 pair."""
     if "," in text:
-        return ("pair", _parse_float_tuple(text, "tau", 2))
+        return ("pair", _parse_tuple(text, "tau", 2, float, "numbers"))
     return ("axis", parse_axis(text, "tau"))
 
 
@@ -96,7 +87,7 @@ def _apply_config(args: argparse.Namespace, keys: dict) -> None:
 def _build_request(args: argparse.Namespace, quantity: str) -> SweepRequest:
     photons = None
     if args.photons is not None:
-        photons = _parse_int_tuple(args.photons, "photons", 4)
+        photons = _parse_tuple(args.photons, "photons", 4, int, "integers")
     preset = args.preset
     if preset is not None and photons is not None:
         raise UsageError("give either --preset or --photons, not both")
@@ -108,7 +99,7 @@ def _build_request(args: argparse.Namespace, quantity: str) -> SweepRequest:
     phi_axis = parse_axis(args.phi if args.phi is not None else "0.01", "phi")
     point = None
     if args.point is not None:
-        point = _parse_float_tuple(args.point, "point", 4)
+        point = _parse_tuple(args.point, "point", 4, float, "numbers")
     kwargs = dict(quantity=quantity, preset=preset, photons=photons,
                   lam_axis=lam_axis, phi_axis=phi_axis, point=point)
     if tau_kind == "pair":

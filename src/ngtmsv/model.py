@@ -257,47 +257,25 @@ def probability_form(p: ModelParams):
     return _herald_quad(p, +1.0)
 
 
+# The moment blocks are the Wigner blocks up to signs and powers of two, both
+# exact in floating point: D = diag(1,1,-1,-1) acts on x and
+# R = diag(1,1,-1,-1,-1,-1,1,1) on u.
+_D = (1.0, 1.0, -1.0, -1.0)
+_R = (1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0)
+
+
 def moment_coupling(p: ModelParams):
-    """8x4 coupling of u to the moment source vector x."""
-    a, b = p.sinh_r, p.cosh_r
-    t1, t2, r1, r2 = p.t1, p.t2, p.refl1, p.refl2
-    s = -1.0 / (2.0 * p.base_norm)
-    bb1 = b * b * r1
-    bb2 = b * b * r2
-    ab12 = a * b * r1 * t1 * t2
-    ab21 = a * b * r2 * t1 * t2
-    aa1 = a * a * r1 * t1 * t2 * t2
-    aa2 = a * a * r2 * t1 * t1 * t2
-    ab1 = a * b * r1 * t2
-    ab2 = a * b * r2 * t1
-    rows = [
-        (-bb1, -1j * bb1, -ab12, 1j * ab12),
-        (bb1, -1j * bb1, ab12, 1j * ab12),
-        (-ab21, 1j * ab21, -bb2, -1j * bb2),
-        (ab21, 1j * ab21, bb2, -1j * bb2),
-        (aa1, 1j * aa1, ab1, -1j * ab1),
-        (-aa1, 1j * aa1, -ab1, -1j * ab1),
-        (ab2, -1j * ab2, aa2, 1j * aa2),
-        (-ab2, -1j * ab2, -aa2, 1j * aa2),
-    ]
-    return [[s * c for c in row] for row in rows]
+    """8x4 coupling of u to the moment source vector x: 1/2 R C D, where C
+    is :func:`wigner_coupling`."""
+    return [[0.5 * r * d * c for d, c in zip(_D, row)]
+            for r, row in zip(_R, wigner_coupling(p))]
 
 
 def moment_source_form(p: ModelParams):
-    """4x4 quadratic form in the moment source vector x."""
-    a, b = p.sinh_r, p.cosh_r
-    tt = p.t1 * p.t2
-    dg = a * a * (tt * tt + 1.0) + 1.0
-    od = 2.0 * a * b * tt
-    s = 1.0 / (4.0 * p.base_norm)
-    mat = [
-        [s * dg, 0.0, s * od, 0.0],
-        [0.0, s * dg, 0.0, s * -od],
-        [s * od, 0.0, s * dg, 0.0],
-        [0.0, s * -od, 0.0, s * dg],
-    ]
-    _check_symmetric(mat, "moment source form")
-    return mat
+    """4x4 quadratic form in the moment source vector x: -1/4 D S D, where S
+    is :func:`phase_space_form`."""
+    return [[-0.25 * di * dj * c for dj, c in zip(_D, row)]
+            for di, row in zip(_D, phase_space_form(p))]
 
 
 @dataclass(frozen=True)

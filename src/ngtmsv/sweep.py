@@ -325,52 +325,35 @@ def _figures() -> dict:
         figs[name] = (f"success probability of {preset} over (lambda, tau)",
                       [(preset, _req("probability", preset,
                                      lam=_LAM_HEAT[0], tau=_TAU_HEAT[0]))])
+
+    def family(quantity, op, lam, tau, phi="0.01"):
+        """Bare TMSV plus the one- and two-photon asym/sym ``op`` presets."""
+        presets = (f"asym-{op}-1", f"asym-{op}-2", f"sym-{op}-1", f"sym-{op}-2")
+        return [("tmsv", _req(quantity, "tmsv", lam=lam, tau="1.0", phi=phi))] + [
+            (preset, _req(quantity, preset, lam=lam, tau=tau, phi=phi))
+            for preset in presets]
+
     # QCRB curves vs lambda (a: subtraction tau=0.9, b: addition tau=0.9,
     # c: catalysis tau=0.2) and vs tau at lambda=0.4
     families = {"a": ("ps", "0.9"), "b": ("pa", "0.9"), "c": ("pc", "0.2")}
     for suffix, (op, tau) in families.items():
-        curves = [("tmsv", _req("qcrb", "tmsv", lam=_LAM_CURVE[0], tau="1.0"))]
-        for preset in (f"asym-{op}-1", f"asym-{op}-2",
-                       f"sym-{op}-1", f"sym-{op}-2"):
-            curves.append((preset, _req("qcrb", preset,
-                                        lam=_LAM_CURVE[0], tau=tau)))
         figs[f"fig3{suffix}"] = (
-            f"phase bound vs lambda for {op} presets (tau={tau})", curves)
-        curves_tau = [("tmsv", _req("qcrb", "tmsv", lam="0.4", tau="1.0"))]
-        for preset in (f"asym-{op}-1", f"asym-{op}-2",
-                       f"sym-{op}-1", f"sym-{op}-2"):
-            curves_tau.append((preset, _req("qcrb", preset,
-                                            lam="0.4", tau=_TAU_OPEN[0])))
+            f"phase bound vs lambda for {op} presets (tau={tau})",
+            family("qcrb", op, _LAM_CURVE[0], tau))
         figs[f"fig4{suffix}"] = (
-            f"phase bound vs tau for {op} presets (lambda=0.4)", curves_tau)
+            f"phase bound vs tau for {op} presets (lambda=0.4)",
+            family("qcrb", op, "0.4", _TAU_OPEN[0]))
     # parity-detection sensitivity curves
     for suffix, (op, tau) in families.items():
-        curves = [("tmsv", _req("sensitivity", "tmsv",
-                                lam=_LAM_CURVE[0], tau="1.0"))]
-        for preset in (f"asym-{op}-1", f"asym-{op}-2",
-                       f"sym-{op}-1", f"sym-{op}-2"):
-            curves.append((preset, _req("sensitivity", preset,
-                                        lam=_LAM_CURVE[0], tau=tau)))
         figs[f"fig5{suffix}"] = (
             f"parity sensitivity vs lambda for {op} presets (tau={tau}, phi=0.01)",
-            curves)
-        curves_tau = [("tmsv", _req("sensitivity", "tmsv", lam="0.4", tau="1.0"))]
-        for preset in (f"asym-{op}-1", f"asym-{op}-2",
-                       f"sym-{op}-1", f"sym-{op}-2"):
-            curves_tau.append((preset, _req("sensitivity", preset,
-                                            lam="0.4", tau=_TAU_OPEN[0])))
+            family("sensitivity", op, _LAM_CURVE[0], tau))
         figs[f"fig6{suffix}"] = (
             f"parity sensitivity vs tau for {op} presets (lambda=0.4, phi=0.01)",
-            curves_tau)
-        curves_phi = [("tmsv", _req("sensitivity", "tmsv", lam="0.4",
-                                    tau="1.0", phi=_PHI_CURVE[0]))]
-        for preset in (f"asym-{op}-1", f"asym-{op}-2",
-                       f"sym-{op}-1", f"sym-{op}-2"):
-            curves_phi.append((preset, _req("sensitivity", preset, lam="0.4",
-                                            tau=tau, phi=_PHI_CURVE[0])))
+            family("sensitivity", op, "0.4", _TAU_OPEN[0]))
         figs[f"fig7{suffix}"] = (
             f"parity sensitivity vs phi for {op} presets (lambda=0.4)",
-            curves_phi)
+            family("sensitivity", op, "0.4", tau, _PHI_CURVE[0]))
     # merit heatmaps
     merit_panels = {
         "fig8": ("ps merit over (lambda, tau)",

@@ -10,6 +10,7 @@ Closed-form targets used below (squeezing parameter lam = tanh r):
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -17,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngtmsv import analytics
 from ngtmsv.analytics import (
     PhaseSpacePoint,
     _real,
+    _tmsv_reference,
     j2_second_moment,
     merit,
     moment,
@@ -159,6 +162,27 @@ class TestMoments:
         # raising the cap admits the higher order
         assert math.isfinite(moment(0.5, spec, (3, 2, 0, 1), max_total=6))
 
+    def test_moments_digest(self):
+        # Pins every moment of total order <= 4, <J2^2> and the QFI to the
+        # last bit on 6 kinds x n in {1, 2} x 3 states: the moment blocks and
+        # the normalizing core may be reshaped, never the numbers.
+        indices = [i for i in itertools.product(range(5), repeat=4)
+                   if sum(i) <= 4]
+        rows = []
+        for kind in ("asym-ps", "asym-pa", "asym-pc", "sym-ps", "sym-pa", "sym-pc"):
+            for n in (1, 2):
+                for lam, tau in ((0.3, 0.7), (0.6, 0.4), (0.9, 0.95)):
+                    spec = operation_from_table(kind, n, tau)
+                    head = f"{kind}-{n} {lam} {tau}"
+                    for idx in indices:
+                        rows.append(f"{head} {idx} {moment(lam, spec, idx)!r}\n")
+                    rows.append(f"{head} j2 {j2_second_moment(lam, spec)!r}\n")
+                    rows.append(f"{head} qfi {qfi(lam, spec)!r}\n")
+        assert len(rows) == 2592
+        digest = hashlib.sha256("".join(rows).encode()).hexdigest()
+        assert digest == (
+            "0cf032ce2ac0f8b94f5b5f6013ffd565bc04940fd70b63312c4a5856890d217f")
+
 
 class TestFisherInformation:
     def test_bare_state_closed_forms(self):
@@ -267,8 +291,9 @@ class TestWigner:
                     (0.0, 1j, 0.0, 0.0), (0.0, None, 0.0, 0.0)):
             with pytest.raises(ParameterError):
                 wigner(0.3, tmsv_spec(), bad)
-        with pytest.raises(ParameterError):
-            PhaseSpacePoint(0.0, math.inf, 0.0, 0.0)
+        for bad in (math.inf, "x", 1j, None):
+            with pytest.raises(ParameterError):
+                PhaseSpacePoint(0.0, bad, 0.0, 0.0)
 
 
 class TestSymmetries:
@@ -354,6 +379,22 @@ class TestReports:
         digest = hashlib.sha256("".join(rows).encode()).hexdigest()
         assert digest == (
             "fd92ca6cee0192eefa07bc26e650faf16d72c3f11ed5b4720fd033112a58c8e3")
+
+    def test_report_computes_heralding_core_once(self, monkeypatch):
+        # probability, parity, sensitivity and the QFI share one core
+        lam, phi = 0.5, 0.2
+        spec = operation_from_table("sym-pc", 1, 0.6)
+        _tmsv_reference(lam, phi)  # the reference is its own evaluation
+        calls = []
+        real_form = analytics.probability_form
+
+        def counting_form(params):
+            calls.append(params)
+            return real_form(params)
+
+        monkeypatch.setattr(analytics, "probability_form", counting_form)
+        sensitivity_report(lam, spec, phi)
+        assert len(calls) == 1
 
     def test_reference_reused_across_calls(self):
         # merit and weighted_merit share the bare-TMSV reference per

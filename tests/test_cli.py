@@ -4,6 +4,7 @@ CLI behavior is exercised through ``main(argv)`` so exit codes, stdout tables,
 and stderr diagnostics are all covered without spawning subprocesses.
 """
 
+import hashlib
 import json
 import math
 
@@ -505,3 +506,10 @@ class TestFigureCommand:
             assert isinstance(desc, str) and desc
             for label, req in curves:
                 assert isinstance(req, SweepRequest), (name, label)
+
+    def test_figure_table_digest(self):
+        # pins every bundled request, label and description, so the table
+        # builders can be reshaped without changing a single figure
+        digest = hashlib.sha256(repr(sorted(FIGURES.items())).encode()).hexdigest()
+        assert digest == (
+            "cd62b0092c73f5aa349b2e05aeb5193aed2e773ec1f38ec95f24f483f6b1836b")
