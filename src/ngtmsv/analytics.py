@@ -3,18 +3,22 @@
 Every function takes the squeezing parameter ``lam`` and an
 :class:`~ngtmsv.model.NGOperationSpec` and reduces the quantity to mixed
 partial derivatives of Gaussian generating functions (see
-:mod:`ngtmsv.series`). Outputs that must be real are checked for imaginary
-residues before the imaginary part is discarded; quantities that normalize by
-the heralding probability raise :class:`~ngtmsv.errors.DegenerateOperationError`
-when that probability is below the representable floor.
+:mod:`ngtmsv.series`). One engine call per (lam, spec) fills the heralding
+coefficient array; the probability, the Wigner kernel, the moments and the
+QFI are all read from it. Outputs that must be real are checked for
+imaginary residues before the imaginary part is discarded; quantities that
+normalize by the heralding probability raise
+:class:`~ngtmsv.errors.DegenerateOperationError` when that probability is
+below the representable floor.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,11 +34,11 @@ from .model import (
     ModelParams,
     NGOperationSpec,
     derive_params,
-    moment_exponent,
+    moment_coupling,
+    moment_source_form,
     parity_aux,
     parity_form,
     phase_space_form,
-    probability_form,
     tmsv_spec,
     wigner_aux_form,
     wigner_coupling,
@@ -51,6 +55,11 @@ _PROB_FLOOR = 1e-300
 _SLOPE_FLOOR = 1e-14
 _PARITY_SLACK = 1e-9
 _DEFAULT_MOMENT_CAP = 4
+
+# probability_form(p) == D wigner_aux_form(p) D entry for entry, with
+# D = diag(_PROB_SIGNS). So [u^j] exp(u^T Q_prob u) is the Wigner aux array
+# times prod_i D_i^j_i, exactly: only signs differ.
+_PROB_SIGNS = (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0)
 
 
 def _real(value, what: str) -> float:
@@ -109,22 +118,69 @@ def _herald_core(params: ModelParams, spec: NGOperationSpec, quad) -> complex:
                                  spec.derivative_spec())
 
 
-def _heralding(lam: float, spec: NGOperationSpec):
-    """(params, probability core, heralding probability) at one point.
+@dataclass(frozen=True, eq=False)
+class _State:
+    """One heralded state, evaluated once per (lam, spec).
 
-    The only place the heralding core is computed: every normalized quantity
-    divides by the core returned here.
+    ``aux`` is the read-only engine array [u^j] exp(u^T Q_aux u), j <= k,
+    of :func:`wigner_aux_form`; ``core`` is the heralding derivative of the
+    probability form and ``prob`` the success probability. The kernel and
+    the moment contractions are derived from ``aux`` on first use and kept.
     """
+
+    params: ModelParams
+    spec: NGOperationSpec
+    aux: np.ndarray
+    core: float
+    prob: float
+    moments: dict = field(default_factory=dict)  # order -> _moment_tables
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        """``prefactor * prod(k_i!) * aux[k - j]``, indexed by j."""
+        dspec = self.spec.derivative_spec()
+        fact = math.prod(map(math.factorial, dspec.orders))
+        out = dspec.prefactor * fact * self.aux[(slice(None, None, -1),) * 8]
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def kernel(self) -> WignerKernel:
+        params = self.params
+        prob = self.core / params.base_norm  # unclamped: the kernel integrates to 1
+        _check_floor(prob, "normalized Wigner")
+        quad = tuple(tuple(row) for row in phase_space_form(params))
+        scale = 1.0 / (params.base_norm * math.pi ** 2 * prob)
+        return WignerKernel(coeffs=self.coeffs,
+                            coupling=np.array(wigner_coupling(params)),
+                            quad=quad, scale=scale)
+
+
+# Public entry points share the last evaluation; private helpers take the
+# state explicitly, so an evaluation in between (such as the bare-TMSV
+# reference) cannot make a caller recompute. Exceptions are never cached.
+@functools.lru_cache(maxsize=1, typed=True)
+def _heralding(lam: float, spec: NGOperationSpec) -> _State:
+    """Evaluate one heralded state: the only place the heralding core is
+    computed, so every normalized quantity divides by the same number."""
     params = derive_params(lam, spec)
-    core = _real(_herald_core(params, spec, probability_form(params)),
-                 "heralding probability")
+    dspec = spec.derivative_spec()
+    aux = coefficient_array(GeneratingExponent(8, wigner_aux_form(params)),
+                            dspec)[0]
+    aux.flags.writeable = False
+    # The corner's probability sign is (-1)^(k2+k4+k5+k7) = (-1)^photons.
+    corner = complex(aux[dspec.orders])
+    if spec.total_photons % 2:
+        corner = -corner
+    core = _real(dspec.prefactor * math.prod(map(math.factorial, dspec.orders))
+                 * corner, "heralding probability")
     if core < -_RESIDUE_TOL:
         raise ConsistencyError(f"heralding probability core is negative ({core:.3e})")
-    core = max(core, 0.0)
+    core = core if core > 0.0 else 0.0  # an impossible herald gives +0.0
     p = core / params.base_norm
     if p > 1.0 + _RESIDUE_TOL:
         raise ConsistencyError(f"heralding probability {p} exceeds 1")
-    return params, core, min(p, 1.0)
+    return _State(params=params, spec=spec, aux=aux, core=core, prob=min(p, 1.0))
 
 
 def _check_floor(prob: float, what: str) -> None:
@@ -135,7 +191,7 @@ def _check_floor(prob: float, what: str) -> None:
 
 def success_probability(lam: float, spec: NGOperationSpec) -> float:
     """Probability of heralding the requested ancilla photon numbers."""
-    return _heralding(lam, spec)[2]
+    return _heralding(lam, spec).prob
 
 
 def wigner(lam: float, spec: NGOperationSpec, point) -> float:
@@ -162,32 +218,29 @@ class WignerKernel:
 
     def __call__(self, point) -> float:
         xi = _as_point(point)
-        num = self.coeffs
-        for ell in self.coupling @ xi:
-            powers = np.ones(num.shape[0], dtype=np.complex128)
-            for j in range(1, len(powers)):
-                powers[j] = powers[j - 1] * ell / j
-            num = np.tensordot(powers, num, axes=1)
-        val = _real(complex(num), "Wigner numerator")
         expo = sum(self.quad[i][j] * xi[i] * xi[j]
                    for i in range(4) for j in range(4))
-        return self.scale * val * math.exp(expo)
+        gauss = math.exp(expo)
+        if not gauss > 0.0:
+            # Far out the Gaussian underflows (its terms may even overflow to
+            # inf - inf) while the numerator's powers overflow. The quadratic
+            # form is negative definite and |W| <= 1/pi^2, so W is 0 there.
+            return 0.0
+        num = self.coeffs
+        for ell in self.coupling @ xi:
+            k = num.shape[0]
+            powers = np.ones(k, dtype=np.complex128)
+            for j in range(1, k):
+                powers[j] = powers[j - 1] * ell / j
+            num = (powers @ num.reshape(k, -1)).reshape(num.shape[1:])
+        val = _real(complex(num), "Wigner numerator")
+        return self.scale * val * gauss
 
 
 def wigner_polynomial(lam: float, spec: NGOperationSpec) -> WignerKernel:
-    """Closed-form Wigner kernel: one coefficient array of the heralding
-    generating function, contracted against each point on call."""
-    params, core, _ = _heralding(lam, spec)
-    prob = core / params.base_norm  # unclamped: the kernel integrates to 1
-    _check_floor(prob, "normalized Wigner")
-    dspec = spec.derivative_spec()
-    fact = math.prod(map(math.factorial, dspec.orders))
-    arr = coefficient_array(GeneratingExponent(8, wigner_aux_form(params)), dspec)
-    coeffs = dspec.prefactor * fact * arr[0][(slice(None, None, -1),) * 8]
-    quad = tuple(tuple(row) for row in phase_space_form(params))
-    scale = 1.0 / (params.base_norm * math.pi ** 2 * prob)
-    return WignerKernel(coeffs=coeffs, coupling=np.array(wigner_coupling(params)),
-                        quad=quad, scale=scale)
+    """Closed-form Wigner kernel: the heralding coefficient array of the
+    state, contracted against each point on call."""
+    return _heralding(lam, spec).kernel
 
 
 def moment(lam: float, spec: NGOperationSpec, idx,
@@ -204,32 +257,116 @@ def moment(lam: float, spec: NGOperationSpec, idx,
     if sum(idx) > max_total:
         raise ParameterError(
             f"moment total order {sum(idx)} exceeds cap {max_total}")
-    params, den, prob = _heralding(lam, spec)
-    _check_floor(prob, "moments")
-    return _moment(params, spec, idx, den)
+    state = _heralding(lam, spec)
+    _check_floor(state.prob, "moments")
+    return _moment(state, idx)
 
 
-def _moment(params: ModelParams, spec: NGOperationSpec, idx: tuple,
-            den: float) -> float:
-    """One moment normalized by the probability core ``den``."""
-    dspec = spec.derivative_spec()
-    num = mixed_partial_at_zero(
-        moment_exponent(params),
-        DerivativeSpec(dspec.orders + idx, dspec.prefactor))
-    return _real(num, "moment numerator") / den
+def _moment(state: _State, idx: tuple) -> float:
+    """One moment normalized by the state's probability core.
+
+    Let a be the probability array, C the moment coupling (columns c_b) and
+    h[g] = [x^g] exp(x^T Q_x x). Then
+    [u^k x^idx] exp(u^T Q_prob u + u^T C x + x^T Q_x x)
+    = sum_{beta <= idx} h[idx - beta] T_beta, with
+    T_beta = sum_j [u^j](prod_b (c_b.u)^beta_b / beta_b!) a[k - j].
+    Splitting u into its first and last four variables splits each power
+    binomially, so T_beta = sum_{g <= beta} m[g, beta - g] (see
+    :func:`_moment_tables`).
+    """
+    order = max(sum(idx), _DEFAULT_MOMENT_CAP)  # one table serves the default cap
+    tables = state.moments.get(order)
+    if tables is None:
+        tables = state.moments[order] = _moment_tables(state, order)
+    h, rows, cols, m = tables
+    num = 0
+    for gam in itertools.product(*(range(i + 1) for i in idx)):
+        row = rows.get(gam)
+        if row is None:
+            continue
+        for dlt in itertools.product(*(range(i - g + 1) for i, g in zip(idx, gam))):
+            col = cols.get(dlt)
+            if col is not None:
+                num += h[tuple(i - g - d for i, g, d in zip(idx, gam, dlt))] * m[row, col]
+    # a[k - j] = D^k D^j aux[k - j]: D^j sits in the couplings of
+    # _moment_tables, D^k is this sign.
+    sign = -1 if state.spec.total_photons % 2 else 1
+    num = num * (sign * math.prod(map(math.factorial, idx)))
+    return _real(num, "moment numerator") / state.core
+
+
+def _moment_tables(state: _State, order: int):
+    """The arrays every moment of total order <= ``order`` is read from.
+
+    Returns h (orders up to ``order`` per variable), the row and column of
+    each multi-index, and m[g, d] = sum_j A_g[j'] B_d[j''] coeffs[j], where
+    j = (j', j'') splits the eight variables in halves and A_g (B_d) holds
+    [u^j'] prod_b (c_b.u)^g_b / g_b! over the first (last) half. The
+    columns c_b of the moment coupling carry the probability signs D on
+    their rows, so the Wigner-signed ``coeffs`` can be contracted. A
+    multi-index missing from the rows or columns has A_g = 0 or B_d = 0.
+    """
+    h = coefficient_array(
+        GeneratingExponent(4, moment_source_form(state.params)),
+        DerivativeSpec((order,) * 4))[0]
+    shape = state.coeffs.shape
+    coupling = (np.array(moment_coupling(state.params))
+                * np.array(_PROB_SIGNS)[:, None])
+    rows, first = _power_products(coupling[:4], shape[:4], order)
+    cols, last = _power_products(coupling[4:], shape[4:], order)
+    # Elementwise products and numpy sums only: a BLAS product's last bits
+    # depend on the library build, and moments are pinned to the last bit.
+    m = np.zeros((first.shape[1], last.shape[1]), dtype=np.complex128)
+    for a_row, k_row in zip(first, state.coeffs.reshape(len(first), len(last))):
+        if a_row.any():
+            m += np.multiply.outer(a_row, (k_row[:, None] * last).sum(axis=0))
+    return h, rows, cols, m
+
+
+def _power_products(vecs: np.ndarray, shape: tuple, order: int):
+    """The column of every g with |g| <= order, and a matrix whose column
+    holds [u^j] prod_b (vecs[:, b].u)^g_b / g_b! for j < shape (raveled).
+    A product of higher degree than the array holds is zero, so the levels
+    stop there.
+
+    Level d holds |g| = d; g is reached from g - e_b with b its last
+    nonzero axis, multiplying by one linear form and dropping what shifts
+    past ``shape``.
+    """
+    level_g = [(0, 0, 0, 0)]
+    level = np.zeros((1,) + shape, dtype=np.complex128)
+    level[(0,) * 5] = 1.0
+    gammas, cols = list(level_g), [level]
+    for _ in range(min(order, sum(shape) - len(shape))):
+        up = np.zeros((4,) + level.shape, dtype=np.complex128)
+        for i, n in enumerate(shape):
+            if n > 1:
+                head = (slice(None),) * (1 + i)
+                up[(slice(None),) + head + (slice(1, None),)] += (
+                    vecs[i].reshape((4,) + (1,) * 5) * level[head + (slice(-1),)])
+        kids = [(b, p, g[:b] + (g[b] + 1,) + g[b + 1:])
+                for p, g in enumerate(level_g)
+                for b in range(max((a for a in range(4) if g[a]), default=0), 4)]
+        b_idx, p_idx, level_g = zip(*kids)
+        div = np.array([g[b] for b, g in zip(b_idx, level_g)], dtype=float)
+        level = up[list(b_idx), list(p_idx)] / div.reshape((-1,) + (1,) * 4)
+        gammas += level_g
+        cols.append(level)
+    return ({g: n for n, g in enumerate(gammas)},
+            np.concatenate(cols).reshape(len(gammas), -1).T)
 
 
 def j2_second_moment(lam: float, spec: NGOperationSpec) -> float:
     """<J2^2> of the heralded state (J2 generates the interferometer phase)."""
-    params, den, prob = _heralding(lam, spec)
-    _check_floor(prob, "moments")
-    return _j2(params, spec, den)
+    state = _heralding(lam, spec)
+    _check_floor(state.prob, "moments")
+    return _j2(state)
 
 
-def _j2(params: ModelParams, spec: NGOperationSpec, den: float) -> float:
-    m_qp = _moment(params, spec, (2, 0, 0, 2), den)
-    m_pq = _moment(params, spec, (0, 2, 2, 0), den)
-    m_x = _moment(params, spec, (1, 1, 1, 1), den)
+def _j2(state: _State) -> float:
+    m_qp = _moment(state, (2, 0, 0, 2))
+    m_pq = _moment(state, (0, 2, 2, 0))
+    m_x = _moment(state, (1, 1, 1, 1))
     return -0.125 + 0.25 * m_qp + 0.25 * m_pq - 0.5 * m_x
 
 
@@ -258,15 +395,15 @@ def parity_expectation(lam: float, spec: NGOperationSpec, phi):
     ``phi`` may be a float (returns float) or a :class:`Dual` seeded with
     d(phi)/d(parameter) (returns the signal and its derivative).
     """
-    params, den, _ = _heralding(lam, spec)
-    return _parity(params, spec, phi, den)
+    return _parity(_heralding(lam, spec), phi)
 
 
-def _parity(params: ModelParams, spec: NGOperationSpec, phi, den: float):
-    """The parity signal normalized by the probability core ``den``."""
+def _parity(state: _State, phi):
+    """The parity signal normalized by the state's probability core."""
+    params, den = state.params, state.core
     _check_floor(den / params.base_norm, "parity signal")
     aux = parity_aux(params, phi)
-    num = _herald_core(params, spec, parity_form(params, aux))
+    num = _herald_core(params, state.spec, parity_form(params, aux))
     if isinstance(num, Dual):
         num = _real_dual(num, "parity numerator")
     else:
@@ -284,13 +421,11 @@ def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
     Evaluated at the operating point ``phi`` (the signal is differentiated at
     ``phi + pi/2``, where the parity fringe crosses its steep region).
     """
-    params, den, _ = _heralding(lam, spec)
-    return _sensitivity(params, spec, phi, den)
+    return _sensitivity(_heralding(lam, spec), phi)
 
 
-def _sensitivity(params: ModelParams, spec: NGOperationSpec, phi: float,
-                 den: float) -> float:
-    fd = _parity(params, spec, Dual(phi + math.pi / 2.0, 1.0), den)
+def _sensitivity(state: _State, phi: float) -> float:
+    fd = _parity(state, Dual(phi + math.pi / 2.0, 1.0))
     slope = fd.deriv
     if abs(slope) < _SLOPE_FLOOR:
         raise StationaryPointError(
@@ -301,9 +436,10 @@ def _sensitivity(params: ModelParams, spec: NGOperationSpec, phi: float,
     return math.sqrt(max(variance, 0.0)) / abs(slope)
 
 
-# A sweep row holds lam and phi fixed while tau varies, so the last
-# reference is the one asked for next. Exceptions are never cached.
-@functools.lru_cache(maxsize=1, typed=True)
+# A sweep holds lam fixed along a row and varies phi fastest, so the
+# reference is kept for a whole phi axis (up to 256 values) at a time.
+# Exceptions are never cached.
+@functools.lru_cache(maxsize=256, typed=True)
 def _tmsv_reference(lam: float, phi: float) -> float:
     return phase_sensitivity(lam, tmsv_spec(), phi)
 
@@ -317,8 +453,8 @@ def merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
 
 def weighted_merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
     """Merit weighted by the heralding probability (resource-aware gain)."""
-    params, den, prob = _heralding(lam, spec)
-    return prob * (_tmsv_reference(lam, phi) - _sensitivity(params, spec, phi, den))
+    state = _heralding(lam, spec)
+    return state.prob * (_tmsv_reference(lam, phi) - _sensitivity(state, phi))
 
 
 @dataclass(frozen=True)
@@ -351,16 +487,16 @@ class SensitivityReport:
 def sensitivity_report(lam: float, spec: NGOperationSpec,
                        phi: float) -> SensitivityReport:
     """Compute all figures of merit at one operating point."""
-    params, den, prob = _heralding(lam, spec)
-    parity = _parity(params, spec, phi, den)
-    dphi = _sensitivity(params, spec, phi, den)
-    fisher = _qfi(_j2(params, spec, den))
+    state = _heralding(lam, spec)
+    parity = _parity(state, phi)
+    dphi = _sensitivity(state, phi)
+    fisher = _qfi(_j2(state))
     bound = 1.0 / math.sqrt(fisher)
     gain = _tmsv_reference(lam, phi) - dphi
     return SensitivityReport(
-        lam=lam, spec=spec, phi=phi, probability=prob, parity=parity,
+        lam=lam, spec=spec, phi=phi, probability=state.prob, parity=parity,
         delta_phi=dphi, qfi=fisher, delta_phi_min=bound, merit=gain,
-        weighted_merit=prob * gain)
+        weighted_merit=state.prob * gain)
 
 
 __all__ = [

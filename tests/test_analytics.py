@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ngtmsv import analytics
@@ -44,8 +44,51 @@ from ngtmsv.errors import (
     ParameterError,
     StationaryPointError,
 )
-from ngtmsv.model import NGOperationSpec, operation_from_table, tmsv_spec
+from ngtmsv.model import (
+    NGOperationSpec,
+    derive_params,
+    moment_exponent,
+    operation_from_table,
+    probability_form,
+    tmsv_spec,
+    wigner_aux_form,
+)
 from ngtmsv import oracle
+from ngtmsv.series import (
+    DerivativeSpec,
+    GeneratingExponent,
+    coefficient_array,
+    mixed_partial_at_zero,
+)
+from ngtmsv.sweep import Axis, SweepRequest, run_sweep
+
+_KINDS = ("asym-ps", "asym-pa", "asym-pc", "sym-ps", "sym-pa", "sym-pc")
+# the 36 table rows at three transmissivities, the bare TMSV and two
+# operations the table cannot name
+_SPECS = ([operation_from_table(kind, n, tau) for kind in _KINDS
+           for n in (1, 2) for tau in (0.3, 0.95, 1.0)]
+          + [tmsv_spec(), NGOperationSpec(1, 2, 1, 2, 0.6, 0.6),
+             NGOperationSpec(2, 0, 1, 1, 0.5, 0.8)])
+_MOMENT_INDICES = [i for i in itertools.product(range(5), repeat=4)
+                   if sum(i) <= 4]
+
+
+def _reference_moment(lam, spec, idx):
+    """A moment from the 12-variable moment exponent, normalized by the
+    probability form's core: two engine runs of their own."""
+    params = derive_params(lam, spec)
+    dspec = spec.derivative_spec()
+    core = mixed_partial_at_zero(
+        GeneratingExponent(8, probability_form(params)), dspec)
+    num = mixed_partial_at_zero(
+        moment_exponent(params),
+        DerivativeSpec(dspec.orders + tuple(idx), dspec.prefactor))
+    return num.real / core.real
+
+
+def _uncached(fn, *args):
+    analytics._heralding.cache_clear()
+    return fn(*args)
 
 
 class TestSuccessProbability:
@@ -97,6 +140,27 @@ class TestSuccessProbability:
             _, want = oracle.prepare_ng_state(lam, spec)
             assert success_probability(lam, spec) == pytest.approx(
                 want, rel=1e-10), (lam, spec)
+
+
+class TestHeraldingArray:
+    def test_probability_array_is_signed_wigner_aux_array(self):
+        # probability_form = D wigner_aux_form D with
+        # D = diag(1,-1,1,-1,-1,1,-1,1), so one engine array serves both:
+        # entries differ by (-1)^(j2+j4+j5+j7), exactly
+        for spec in _SPECS:
+            dspec = spec.derivative_spec()
+            for lam in (0.0, 0.3, 0.75, 0.97):
+                params = derive_params(lam, spec)
+                prob = coefficient_array(
+                    GeneratingExponent(8, probability_form(params)), dspec)[0]
+                aux = coefficient_array(
+                    GeneratingExponent(8, wigner_aux_form(params)), dspec)[0]
+                signs = np.ones(prob.shape)
+                for axis in (1, 3, 4, 6):
+                    shape = [1] * 8
+                    shape[axis] = prob.shape[axis]
+                    signs = signs * (-1.0) ** np.arange(shape[axis]).reshape(shape)
+                assert np.array_equal(prob, aux * signs), (spec, lam)
 
 
 class TestParitySignal:
@@ -181,7 +245,53 @@ class TestMoments:
         assert len(rows) == 2592
         digest = hashlib.sha256("".join(rows).encode()).hexdigest()
         assert digest == (
-            "0cf032ce2ac0f8b94f5b5f6013ffd565bc04940fd70b63312c4a5856890d217f")
+            "28822982e0a2db1e259e9594a712178c43bc8ab430f16748091db512d941749b")
+
+    def test_digest_values_match_twelve_variable_engine(self):
+        # every value the digest above pins, against the reference path
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        for kind in _KINDS:
+            for n in (1, 2):
+                for lam, tau in ((0.3, 0.7), (0.6, 0.4), (0.9, 0.95)):
+                    spec = operation_from_table(kind, n, tau)
+                    want = {idx: _reference_moment(lam, spec, idx)
+                            for idx in _MOMENT_INDICES}
+                    for idx in _MOMENT_INDICES:
+                        got = moment(lam, spec, idx)
+                        assert close(got, want[idx]), (kind, n, lam, idx, got)
+                    j2 = (-0.125 + 0.25 * want[(2, 0, 0, 2)]
+                          + 0.25 * want[(0, 2, 2, 0)] - 0.5 * want[(1, 1, 1, 1)])
+                    assert close(j2_second_moment(lam, spec), j2), (kind, n, lam)
+                    assert close(qfi(lam, spec), 4.0 * j2), (kind, n, lam)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lam=st.floats(0.0, 0.97),
+        tau1=st.floats(0.05, 1.0), tau2=st.floats(0.05, 1.0),
+        photons=st.tuples(*[st.integers(0, 2)] * 4),
+        idx=st.tuples(*[st.integers(0, 4)] * 4).filter(lambda i: sum(i) <= 4),
+    )
+    def test_moments_match_twelve_variable_engine(self, lam, tau1, tau2,
+                                                  photons, idx):
+        spec = NGOperationSpec(*photons, tau1, tau2)
+        try:
+            got = moment(lam, spec, idx)
+        except DegenerateOperationError:
+            assume(False)
+        want = _reference_moment(lam, spec, idx)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("spec, idx", [
+        (operation_from_table("asym-pc", 1, 0.6), (3, 2, 0, 1)),
+        (operation_from_table("sym-ps", 1, 0.7), (2, 1, 2, 1)),
+        (NGOperationSpec(1, 2, 1, 2, 0.6, 0.6), (0, 3, 3, 0)),
+    ])
+    def test_order_six_moments_match_twelve_variable_engine(self, spec, idx):
+        got = moment(0.6, spec, idx, max_total=6)
+        want = _reference_moment(0.6, spec, idx)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestFisherInformation:
@@ -278,6 +388,37 @@ class TestWigner:
                 pt = tuple(rng.uniform(-1.0, 1.0, size=4))
                 want = oracle.wigner_point(st_, pt)
                 assert kernel(pt) == pytest.approx(want, abs=1e-10), (kind, n, pt)
+
+    def test_kernel_matches_tensordot_contraction(self):
+        # the kernel contracts one axis at a time; the reference is the
+        # tensordot it replaced, and the arithmetic is the same
+        rng = np.random.default_rng(5)
+        for kind, n in [("asym-ps", 1), ("asym-pc", 2), ("sym-pa", 1),
+                        ("sym-pc", 2)]:
+            kernel = wigner_polynomial(0.6, operation_from_table(kind, n, 0.4))
+            for _ in range(5):
+                pt = tuple(rng.uniform(-1.5, 1.5, size=4))
+                num = kernel.coeffs
+                for ell in kernel.coupling @ pt:
+                    powers = np.ones(num.shape[0], dtype=np.complex128)
+                    for j in range(1, len(powers)):
+                        powers[j] = powers[j - 1] * ell / j
+                    num = np.tensordot(powers, num, axes=1)
+                expo = sum(kernel.quad[i][j] * pt[i] * pt[j]
+                           for i in range(4) for j in range(4))
+                want = kernel.scale * complex(num).real * math.exp(expo)
+                assert kernel(pt) == want, (kind, n, pt)
+
+    @pytest.mark.parametrize("point", [
+        (1e80, 0.0, 0.0, 0.0), (1e160, 0.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0),
+        (1e200, 0.0, 1e200, 0.0), (0.0, -1e200, 0.0, 1e200),
+    ])
+    def test_far_points_vanish(self, point):
+        # the Gaussian underflows there while the numerator's powers would
+        # overflow; the value is 0 with no warning (warnings are errors here)
+        spec = operation_from_table("sym-pc", 2, 0.7)
+        assert wigner(0.5, spec, point) == 0.0
+        assert wigner_polynomial(0.5, spec)(point) == 0.0
 
     def test_accepts_phase_space_point(self):
         pt = PhaseSpacePoint(0.1, 0.2, -0.3, 0.4)
@@ -378,23 +519,50 @@ class TestReports:
                         weighted_merit(lam, spec, phi), merit(lam, spec, phi))) + "\n")
         digest = hashlib.sha256("".join(rows).encode()).hexdigest()
         assert digest == (
-            "fd92ca6cee0192eefa07bc26e650faf16d72c3f11ed5b4720fd033112a58c8e3")
+            "62cffd7faf0ef92619da8aae61da53d9367e565642e92a107d2ba341f1b16516")
 
     def test_report_computes_heralding_core_once(self, monkeypatch):
-        # probability, parity, sensitivity and the QFI share one core
+        # probability, parity, sensitivity and the QFI share one heralding
+        # array, and a second report at the same state reuses it
         lam, phi = 0.5, 0.2
         spec = operation_from_table("sym-pc", 1, 0.6)
         _tmsv_reference(lam, phi)  # the reference is its own evaluation
+        analytics._heralding.cache_clear()
         calls = []
-        real_form = analytics.probability_form
+        real_form = analytics.wigner_aux_form
 
         def counting_form(params):
             calls.append(params)
             return real_form(params)
 
-        monkeypatch.setattr(analytics, "probability_form", counting_form)
+        monkeypatch.setattr(analytics, "wigner_aux_form", counting_form)
         sensitivity_report(lam, spec, phi)
         assert len(calls) == 1
+        sensitivity_report(lam, spec, phi)
+        assert len(calls) == 1
+
+    def test_reference_once_per_phi_along_a_sweep(self, monkeypatch):
+        # run_sweep varies phi fastest, so a phi axis must not evict the
+        # references of the tau values that follow
+        _tmsv_reference.cache_clear()
+        real = analytics.phase_sensitivity
+        calls = []
+
+        def counting(lam, spec, phi):
+            if spec == tmsv_spec():
+                calls.append((lam, phi))
+            return real(lam, spec, phi)
+
+        monkeypatch.setattr(analytics, "phase_sensitivity", counting)
+        records = run_sweep(SweepRequest(
+            quantity="merit", preset="asym-pa-1", lam_axis=Axis((0.5,)),
+            tau_axis=Axis((0.2, 0.4, 0.6, 0.8)), phi_axis=Axis((0.1, 0.2, 0.3))))
+        assert sorted(calls) == [(0.5, 0.1), (0.5, 0.2), (0.5, 0.3)]
+        for rec in records:
+            spec = operation_from_table("asym-pa", 1, rec.tau2)
+            assert rec.value == (
+                _uncached(real, 0.5, tmsv_spec(), rec.phi)
+                - _uncached(real, 0.5, spec, rec.phi)), rec
 
     def test_reference_reused_across_calls(self):
         # merit and weighted_merit share the bare-TMSV reference per
@@ -416,6 +584,69 @@ class TestReports:
         for fn in (merit, weighted_merit, merit):
             with pytest.raises(StationaryPointError):
                 fn(0.5, spec, 0.0)
+
+
+class TestStateCache:
+    def test_interleaved_states_match_uncached(self):
+        # one state is kept; switching (lam, spec), and the bare-TMSV
+        # reference in between, must never change a value's bits
+        a = operation_from_table("sym-pc", 1, 0.6)
+        b = operation_from_table("asym-pa", 2, 0.4)
+        pt = (0.3, -0.2, 0.1, 0.4)
+        queries = [
+            (success_probability, ()), (wigner, (pt,)),
+            (moment, ((1, 1, 0, 0),)), (moment, ((2, 0, 0, 2),)),
+            (j2_second_moment, ()), (qfi, ()), (parity_expectation, (0.3,)),
+            (phase_sensitivity, (0.3,)), (merit, (0.3,)),
+        ]
+        keys = [(0.5, a), (0.6, a), (0.5, b), (0.5, a), (0.6, a), (0.5, b)]
+        want = {key: [repr(_uncached(fn, *key, *args)) for fn, args in queries]
+                for key in set(keys)}
+        for key in keys:
+            got = [repr(fn(*key, *args)) for fn, args in queries]
+            assert got == want[key], key
+
+    def test_degenerate_state_raises_every_call(self):
+        # a zero-probability state is kept, but never read past the floor
+        spec = NGOperationSpec(0, 0, 1, 1, 1.0, 1.0)
+        assert success_probability(0.5, spec) == 0.0
+        for _ in range(2):
+            for fn, args in ((moment, ((1, 0, 0, 0),)), (j2_second_moment, ()),
+                             (qfi, ()), (wigner_polynomial, ()),
+                             (wigner, ((0.0, 0.0, 0.0, 0.0),)),
+                             (parity_expectation, (0.3,))):
+                with pytest.raises(DegenerateOperationError):
+                    fn(0.5, spec, *args)
+
+    def test_probe_runs_heralding_engine_once(self, monkeypatch):
+        # a state queried for its kernel, Wigner values, every moment of
+        # order <= 2 and the QFI: one 8-variable array and one 4-variable
+        # moment-source array, and no other engine run
+        calls = []
+        real = analytics.coefficient_array
+
+        def counting(exponent, spec):
+            calls.append(exponent.dim)
+            return real(exponent, spec)
+
+        def forbidden(*args):
+            raise AssertionError("the engine ran outside the state")
+
+        monkeypatch.setattr(analytics, "coefficient_array", counting)
+        monkeypatch.setattr(analytics, "mixed_partial_at_zero", forbidden)
+        analytics._heralding.cache_clear()
+        lam, spec = 0.45, operation_from_table("sym-pc", 1, 0.35)
+        points = np.random.default_rng(3).uniform(-1.5, 1.5, size=(24, 4))
+        kernel = wigner_polynomial(lam, spec)
+        for pt in points:
+            kernel(pt)
+        for pt in points[:3]:
+            wigner(lam, spec, pt)
+        for idx in itertools.product(range(3), repeat=4):
+            if sum(idx) <= 2:
+                moment(lam, spec, idx)
+        qfi(lam, spec)
+        assert calls == [8, 4]
 
 
 class TestResidueGuard:

@@ -240,6 +240,9 @@ class TestEvalCommand:
         assert rows["parity"] == "0.6049438719201851"
         assert rows["delta_phi"] == "0.7779809838628451"
         assert rows["qfi"] == "2.959183673469389"
+        # exact value: the state is sum_n c_n |n, n-1> with |c_n|^2 ~ n x^n,
+        # x = lam^2 tau = 1/8, so F_Q = 2<n^2> - 1 = 2(1+4x+x^2)/(1-x)^2 - 1
+        assert abs(float(rows["qfi"]) - 145 / 49) <= 3 * math.ulp(145 / 49)
         assert rows["delta_phi_min"] == "0.5813183589761797"
         assert rows["merit"] == "-0.027810146744844833"
         assert rows["weighted_merit"] == "-0.0034053240912054906"
@@ -254,6 +257,14 @@ class TestEvalCommand:
         from ngtmsv.model import tmsv_spec
         want = wigner(0.3, tmsv_spec(), (0.0, 0.0, 0.0, 0.0))
         assert self._rows(out)["wigner"] == repr(want)
+
+    def test_far_point_wigner_is_zero(self, capsys):
+        # the Gaussian envelope underflows there; the row must not read nan
+        rc = main(["eval", "--preset", "sym-pc-2", "--lambda", "0.5",
+                   "--tau", "0.7", "--point", "1e200,0,0,0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert self._rows(out)["wigner"] == "0.0"
 
     def test_operation_required(self, capsys):
         rc = main(["eval", "--lambda", "0.5"])
