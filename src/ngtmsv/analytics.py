@@ -4,9 +4,10 @@ Every function takes the squeezing parameter ``lam`` and an
 :class:`~ngtmsv.model.NGOperationSpec` and reduces the quantity to mixed
 partial derivatives of Gaussian generating functions (see
 :mod:`ngtmsv.series`). One engine call per (lam, spec) fills the heralding
-coefficient array; the probability, the Wigner kernel, the moments and the
-QFI are all read from it. Outputs that must be real are checked for
-imaginary residues before the imaginary part is discarded; quantities that
+coefficient array; the probability, the Wigner kernel, the moments, the
+QFI, and the parity signal with its phase slope are all read from it.
+Outputs that must be real are checked for imaginary residues before the
+imaginary part is discarded; quantities that
 normalize by the heralding probability raise
 :class:`~ngtmsv.errors.DegenerateOperationError` when that probability is
 below the representable floor.
@@ -22,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import Dual
+from .dual import Dual, d_cos, d_sqrt
 from .errors import (
     ConsistencyError,
+    ConstructionError,
     DegenerateOperationError,
     DegenerateStateError,
     ParameterError,
@@ -36,8 +38,6 @@ from .model import (
     derive_params,
     moment_coupling,
     moment_source_form,
-    parity_aux,
-    parity_form,
     phase_space_form,
     tmsv_spec,
     wigner_aux_form,
@@ -69,10 +69,6 @@ def _real(value, what: str) -> float:
         raise ConsistencyError(
             f"{what} carries imaginary residue {im:.3e} (re={re:.3e})")
     return float(re)
-
-
-def _real_dual(value: Dual, what: str) -> Dual:
-    return Dual(_real(value.value, what), _real(value.deriv, what + " derivative"))
 
 
 @dataclass(frozen=True)
@@ -112,6 +108,21 @@ def _as_point(point) -> tuple:
     return vals
 
 
+def _as_lambda(lam):
+    """``lam`` once it is checked to be a real number: public entry points
+    check it before it becomes a cache key."""
+    if not isinstance(lam, numbers.Real):
+        raise ParameterError(f"lambda must be a real number, got {lam!r}")
+    return lam
+
+
+def _as_phase(phi):
+    """``phi`` once it is checked to be a finite real number."""
+    if not (isinstance(phi, numbers.Real) and math.isfinite(phi)):
+        raise ParameterError(f"phi must be a finite real number, got {phi!r}")
+    return phi
+
+
 def _herald_core(params: ModelParams, spec: NGOperationSpec, quad) -> complex:
     """The heralding derivative applied to exp(u^T quad u)."""
     return mixed_partial_at_zero(GeneratingExponent(8, quad),
@@ -135,12 +146,16 @@ class _State:
     prob: float
     moments: dict = field(default_factory=dict)  # order -> _moment_tables
 
+    def _scaled(self, arr: np.ndarray) -> np.ndarray:
+        """``prefactor * prod(k_i!) * arr[k - j]``, indexed by j."""
+        dspec = self.spec.derivative_spec()
+        fact = math.prod(map(math.factorial, dspec.orders))
+        return dspec.prefactor * fact * arr[(slice(None, None, -1),) * 8]
+
     @functools.cached_property
     def coeffs(self) -> np.ndarray:
         """``prefactor * prod(k_i!) * aux[k - j]``, indexed by j."""
-        dspec = self.spec.derivative_spec()
-        fact = math.prod(map(math.factorial, dspec.orders))
-        out = dspec.prefactor * fact * self.aux[(slice(None, None, -1),) * 8]
+        out = self._scaled(self.aux)
         out.flags.writeable = False
         return out
 
@@ -154,6 +169,27 @@ class _State:
         return WignerKernel(coeffs=self.coeffs,
                             coupling=np.array(wigner_coupling(params)),
                             quad=quad, scale=scale)
+
+    @functools.cached_property
+    def parity_terms(self) -> tuple:
+        """What :func:`_parity_numerator` reads: the derivative orders of
+        each half of u (variables of order 0 dropped), the coupling rows of
+        the variables kept, ``coeffs`` as a real (first half, last half)
+        matrix, the phase-space entries (S11, S13, S22, S24) and the plane
+        rule. :func:`wigner_aux_form` is real, so is its array. ``coeffs``
+        is not built here, which lowers a sweep's peak memory."""
+        shape = self.aux.shape
+        first = [i for i in range(4) if shape[i] > 1]
+        last = [i for i in range(4, 8) if shape[i] > 1]
+        coupling = np.array(wigner_coupling(self.params))[first + last]
+        s = phase_space_form(self.params)
+        if self.aux.imag.any():
+            raise ConsistencyError("heralding coefficient array is not real")
+        matrix = np.ascontiguousarray(
+            self._scaled(self.aux.real).reshape(math.prod(shape[:4]), -1))
+        return ([shape[i] - 1 for i in first], [shape[i] - 1 for i in last],
+                coupling, matrix, (s[0][0], s[0][2], s[1][1], s[1][3]),
+                _plane_rule((sum(shape) - 8) // 2 + 1))
 
 
 # Public entry points share the last evaluation; private helpers take the
@@ -191,7 +227,7 @@ def _check_floor(prob: float, what: str) -> None:
 
 def success_probability(lam: float, spec: NGOperationSpec) -> float:
     """Probability of heralding the requested ancilla photon numbers."""
-    return _heralding(lam, spec).prob
+    return _heralding(_as_lambda(lam), spec).prob
 
 
 def wigner(lam: float, spec: NGOperationSpec, point) -> float:
@@ -240,7 +276,7 @@ class WignerKernel:
 def wigner_polynomial(lam: float, spec: NGOperationSpec) -> WignerKernel:
     """Closed-form Wigner kernel: the heralding coefficient array of the
     state, contracted against each point on call."""
-    return _heralding(lam, spec).kernel
+    return _heralding(_as_lambda(lam), spec).kernel
 
 
 def moment(lam: float, spec: NGOperationSpec, idx,
@@ -257,7 +293,7 @@ def moment(lam: float, spec: NGOperationSpec, idx,
     if sum(idx) > max_total:
         raise ParameterError(
             f"moment total order {sum(idx)} exceeds cap {max_total}")
-    state = _heralding(lam, spec)
+    state = _heralding(_as_lambda(lam), spec)
     _check_floor(state.prob, "moments")
     return _moment(state, idx)
 
@@ -358,7 +394,7 @@ def _power_products(vecs: np.ndarray, shape: tuple, order: int):
 
 def j2_second_moment(lam: float, spec: NGOperationSpec) -> float:
     """<J2^2> of the heralded state (J2 generates the interferometer phase)."""
-    state = _heralding(lam, spec)
+    state = _heralding(_as_lambda(lam), spec)
     _check_floor(state.prob, "moments")
     return _j2(state)
 
@@ -395,24 +431,155 @@ def parity_expectation(lam: float, spec: NGOperationSpec, phi):
     ``phi`` may be a float (returns float) or a :class:`Dual` seeded with
     d(phi)/d(parameter) (returns the signal and its derivative).
     """
-    return _parity(_heralding(lam, spec), phi)
+    for part in (phi.value, phi.deriv) if isinstance(phi, Dual) else (phi,):
+        _as_phase(part)
+    return _parity(_heralding(_as_lambda(lam), spec), phi)
 
 
 def _parity(state: _State, phi):
-    """The parity signal normalized by the state's probability core."""
+    """The parity signal normalized by the state's probability core.
+
+    <Pi> = pi * integral of W(N eta) d eta over the detection plane, where
+    N's columns are (c, 0, s, 0) and (0, c, 0, s) with (c, s) = (cos, sin)
+    of phi/2. The Gaussian factor is exp(eta^T A eta) with A = N^T S N =
+    diag(S11 + S13 sin phi, S22 + S24 sin phi), and sqrt(det(-A)) =
+    norm / base_norm, so <Pi> = base_norm * num / (norm * core) with the
+    numerator ``num`` of :func:`_parity_numerator`.
+    """
     params, den = state.params, state.core
     _check_floor(den / params.base_norm, "parity signal")
-    aux = parity_aux(params, phi)
-    num = _herald_core(params, state.spec, parity_form(params, aux))
-    if isinstance(num, Dual):
-        num = _real_dual(num, "parity numerator")
+    if isinstance(phi, Dual):
+        value, slope = _parity_numerator(state, phi.value)
+        num = Dual(_real(value, "parity numerator"),
+                   _real(slope * phi.deriv, "parity numerator derivative"))
     else:
-        num = _real(num, "parity numerator")
-    f = params.base_norm * num / (aux.norm * den)
+        num = _real(_parity_numerator(state, phi)[0], "parity numerator")
+    lam = params.lam
+    tau12 = params.tau1 * params.tau2
+    inner = 1.0 + lam * lam * tau12 * (lam * lam * tau12 + 2 * d_cos(2 * phi))
+    norm = d_sqrt(inner) / (1.0 - lam * lam)
+    f = params.base_norm * num / (norm * den)
     mag = abs(f.value) if isinstance(f, Dual) else abs(f)
     if mag > 1.0 + _PARITY_SLACK:
         raise ConsistencyError(f"parity signal magnitude {mag} exceeds 1")
     return f
+
+
+def _parity_numerator(state: _State, phi: float) -> tuple:
+    """``num`` of :func:`_parity` at ``phi`` and its phi derivative.
+
+    Let num_W(xi) be the Wigner kernel's numerator and C the Wigner
+    coupling. Substituting eta = L sqrt(2) x, L = diag(1/sqrt(-2 A_ii)),
+    the plane integral of num_W(N eta) exp(eta^T A eta) is
+    pi / sqrt(det(-A)) times num, the Gauss-Hermite sum of num_W over the
+    nodes x with weights normalized to 1; at a node, num_W's linear term is
+    l = C N L sqrt(2) x. num_W(N eta) is a polynomial of total degree <= |k|,
+    so floor(|k|/2) + 1 nodes per axis make the sum exact. At a node,
+    num_W = a K b^T: a (b) holds prod_i l_i^j_i / j_i! over the first (last)
+    half of u and K is the state's ``coeffs`` matrix. b is built per node,
+    K b^T and its derivative are two real BLAS products, and a is
+    contracted with them one variable at a time; the slope applies the
+    product rule throughout. Both are returned as complex numbers.
+    """
+    first, last, coupling, matrix, (s11, s13, s22, s24), (nodes, weights) = (
+        state.parity_terms)
+    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
+    diag = (s11 + s13 * sin_phi, s22 + s24 * sin_phi)
+    if not (diag[0] < 0.0 and diag[1] < 0.0):
+        raise ConstructionError("parity Gaussian must decay on the detection plane")
+    scale = np.array([1.0 / math.sqrt(-2.0 * a) for a in diag])
+    d_scale = scale ** 3 * np.array([s13 * cos_phi, s24 * cos_phi])
+    c, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
+    rot = np.array([[c, 0.0], [0.0, c], [s, 0.0], [0.0, s]])
+    d_rot = 0.5 * np.array([[-s, 0.0], [0.0, -s], [c, 0.0], [0.0, c]])
+    # l = C N L u per node, elementwise rather than with `@`: the real
+    # products below are the only BLAS calls, and each BLAS routine's first
+    # use in a process costs resident memory
+    m = (coupling[:, :, None] * (rot * scale)).sum(axis=1)
+    d_m = (coupling[:, :, None] * (d_rot * scale + rot * d_scale)).sum(axis=1)
+    ell = m[:, :1] * nodes[0] + m[:, 1:] * nodes[1]
+    d_ell = d_m[:, :1] * nodes[0] + d_m[:, 1:] * nodes[1]
+    # powers[i, j] = ell_i^j / j! per node, and their phi derivatives
+    powers = np.empty((len(ell), max(first + last, default=0) + 1, len(weights)),
+                      dtype=np.complex128)
+    powers[:, 0] = 1.0
+    for j in range(1, powers.shape[1]):
+        powers[:, j] = powers[:, j - 1] * ell / j
+    d_powers = np.zeros_like(powers)
+    d_powers[:, 1:] = powers[:, :-1] * d_ell[:, None]
+    n, split = len(weights), len(first)
+    b, d_b = _products(powers[split:], d_powers[split:], last)
+    # K is real: real products over the interleaved real and imaginary
+    # parts. Each operand is freed once used, which lowers the peak memory.
+    value = (matrix @ b.view(np.float64)).view(np.complex128)
+    del b
+    slope = (matrix @ d_b.view(np.float64)).view(np.complex128)
+    del d_b
+    # contract a with K b^T one first-half variable at a time, the fastest
+    # first; the slope takes the product rule
+    for p, dp, k in reversed(list(zip(powers[:split], d_powers[:split], first))):
+        p, dp = p[:k + 1], dp[:k + 1]
+        value, slope = value.reshape(-1, k + 1, n), slope.reshape(-1, k + 1, n)
+        value, slope = (np.einsum("ijn,jn->in", value, p),
+                        np.einsum("ijn,jn->in", slope, p)
+                        + np.einsum("ijn,jn->in", value, dp))
+    return complex((value[0] * weights).sum()), complex((slope[0] * weights).sum())
+
+
+def _products(powers: np.ndarray, d_powers: np.ndarray, orders: list) -> tuple:
+    """Per node (last axis), prod_i powers[i, j_i] for every j <= orders,
+    raveled with the last variable fastest, and its derivative."""
+    n = powers.shape[-1]
+    rows = np.ones((1, n), dtype=np.complex128)
+    d_rows = np.zeros_like(rows)
+    for p, dp, k in zip(powers, d_powers, orders):
+        p, dp = p[:k + 1], dp[:k + 1]
+        d_next = d_rows[:, None] * p
+        d_next += rows[:, None] * dp
+        rows, d_rows = (rows[:, None] * p).reshape(-1, n), d_next.reshape(-1, n)
+    return rows, d_rows
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_rule(n: int) -> tuple:
+    """The n x n Gauss-Hermite rule for exp(-x^2 - y^2): node coordinates
+    times sqrt(2) as a (2, n^2) array, and weights normalized to sum 1.
+
+    The roots of the n-th Hermite polynomial come from Newton's method on
+    the orthonormal three-term recurrence, from the classic initial guesses
+    (Numerical Recipes, gauher); the weights are 2 / psi_n'(x)^2. This needs
+    no LAPACK call, whose first use costs about 0.75 MB of resident memory.
+    """
+    x, w = [0.0] * n, [0.0] * n
+    z = 0.0
+    for i in range((n + 1) // 2):
+        if i == 0:
+            z = math.sqrt(2 * n + 1) - 1.85575 * (2 * n + 1) ** (-1 / 6)
+        elif i == 1:
+            z -= 1.14 * n ** 0.426 / z
+        elif i == 2:
+            z = 1.86 * z - 0.86 * x[0]
+        elif i == 3:
+            z = 1.91 * z - 0.91 * x[1]
+        else:
+            z = 2.0 * z - x[i - 2]
+        for _ in range(100):
+            p1, p2 = math.pi ** -0.25, 0.0  # psi_0, psi_-1
+            for j in range(1, n + 1):
+                p1, p2 = (z * math.sqrt(2.0 / j) * p1
+                          - math.sqrt((j - 1) / j) * p2), p1
+            slope = math.sqrt(2.0 * n) * p2
+            step = p1 / slope
+            z -= step
+            if abs(step) <= 3e-15 * max(1.0, abs(z)):
+                break
+        x[n - 1 - i], x[i] = -z, z
+        w[n - 1 - i] = w[i] = 2.0 / (slope * slope)
+    x, w = np.array(x), np.outer(w, w).ravel()
+    nodes = math.sqrt(2.0) * np.array([np.repeat(x, n), np.tile(x, n)])
+    weights = w / w.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
@@ -421,7 +588,7 @@ def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
     Evaluated at the operating point ``phi`` (the signal is differentiated at
     ``phi + pi/2``, where the parity fringe crosses its steep region).
     """
-    return _sensitivity(_heralding(lam, spec), phi)
+    return _sensitivity(_heralding(_as_lambda(lam), spec), _as_phase(phi))
 
 
 def _sensitivity(state: _State, phi: float) -> float:
@@ -447,14 +614,15 @@ def _tmsv_reference(lam: float, phi: float) -> float:
 def merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
     """Sensitivity gain over the unmodified squeezed vacuum at the same lam:
     positive when the heralded state resolves phase better."""
-    ref = _tmsv_reference(lam, phi)
+    ref = _tmsv_reference(_as_lambda(lam), _as_phase(phi))
     return ref - phase_sensitivity(lam, spec, phi)
 
 
 def weighted_merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
     """Merit weighted by the heralding probability (resource-aware gain)."""
-    state = _heralding(lam, spec)
-    return state.prob * (_tmsv_reference(lam, phi) - _sensitivity(state, phi))
+    state = _heralding(_as_lambda(lam), spec)
+    return state.prob * (_tmsv_reference(lam, _as_phase(phi))
+                         - _sensitivity(state, phi))
 
 
 @dataclass(frozen=True)
@@ -487,8 +655,8 @@ class SensitivityReport:
 def sensitivity_report(lam: float, spec: NGOperationSpec,
                        phi: float) -> SensitivityReport:
     """Compute all figures of merit at one operating point."""
-    state = _heralding(lam, spec)
-    parity = _parity(state, phi)
+    state = _heralding(_as_lambda(lam), spec)
+    parity = _parity(state, _as_phase(phi))
     dphi = _sensitivity(state, phi)
     fisher = _qfi(_j2(state))
     bound = 1.0 / math.sqrt(fisher)

@@ -19,6 +19,7 @@ Variable ordering conventions used throughout:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,12 +56,10 @@ class NGOperationSpec:
     def __post_init__(self):
         for name in ("m1", "m2", "n1", "n2"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise ParameterError(f"{name} must be a non-negative integer, got {v!r}")
         for name in ("tau1", "tau2"):
-            t = getattr(self, name)
-            if not (0.0 < t <= 1.0):
-                raise ParameterError(f"{name} must lie in (0, 1], got {t!r}")
+            _check_tau(name, getattr(self, name))
 
     def mode_operation(self, mode: int) -> str:
         """'subtraction', 'addition', 'catalysis', or 'none' for mode 1 or 2."""
@@ -94,6 +93,13 @@ class NGOperationSpec:
             prefactor=pref)
 
 
+def _check_tau(name: str, tau) -> None:
+    if not isinstance(tau, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {tau!r}")
+    if not (0.0 < tau <= 1.0):
+        raise ParameterError(f"{name} must lie in (0, 1], got {tau!r}")
+
+
 def tmsv_spec() -> NGOperationSpec:
     """The do-nothing operation: heralding zero photons at full transmission."""
     return NGOperationSpec(0, 0, 0, 0, 1.0, 1.0)
@@ -110,10 +116,9 @@ def operation_from_table(kind: str, n: int, tau: float) -> NGOperationSpec:
     if key not in _KIND_ROWS:
         raise ParameterError(
             f"unknown operation kind {kind!r}; expected one of {sorted(_KIND_ROWS)}")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParameterError(f"photon number n must be a positive integer, got {n!r}")
-    if not (0.0 < tau <= 1.0):
-        raise ParameterError(f"tau must lie in (0, 1], got {tau!r}")
+    _check_tau("tau", tau)
     (m1, m2), (n1, n2), (t1, t2) = _KIND_ROWS[key](n, tau)
     return NGOperationSpec(m1, m2, n1, n2, t1, t2)
 

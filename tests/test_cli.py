@@ -1,15 +1,21 @@
 """Tests for the sweep engine and the command-line interface.
 
 CLI behavior is exercised through ``main(argv)`` so exit codes, stdout tables,
-and stderr diagnostics are all covered without spawning subprocesses.
+and stderr diagnostics are all covered without spawning subprocesses. Only
+the import-footprint guard starts a fresh interpreter, since it inspects
+``sys.modules``.
 """
 
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ngtmsv
 from ngtmsv.cli import main
 from ngtmsv.errors import UsageError
 from ngtmsv.sweep import (
@@ -237,15 +243,15 @@ class TestEvalCommand:
         assert rc == 0
         rows = self._rows(out)
         assert rows["probability"] == "0.12244897959183677"
-        assert rows["parity"] == "0.6049438719201851"
-        assert rows["delta_phi"] == "0.7779809838628451"
+        assert rows["parity"] == "0.6049438719201862"
+        assert rows["delta_phi"] == "0.7779809838628436"
         assert rows["qfi"] == "2.959183673469389"
         # exact value: the state is sum_n c_n |n, n-1> with |c_n|^2 ~ n x^n,
         # x = lam^2 tau = 1/8, so F_Q = 2<n^2> - 1 = 2(1+4x+x^2)/(1-x)^2 - 1
         assert abs(float(rows["qfi"]) - 145 / 49) <= 3 * math.ulp(145 / 49)
         assert rows["delta_phi_min"] == "0.5813183589761797"
-        assert rows["merit"] == "-0.027810146744844833"
-        assert rows["weighted_merit"] == "-0.0034053240912054906"
+        assert rows["merit"] == "-0.02781014674484339"
+        assert rows["weighted_merit"] == "-0.003405324091205314"
         assert rows["operation"].startswith("asym-ps-1")
 
     def test_point_appends_wigner_row(self, capsys):
@@ -257,6 +263,24 @@ class TestEvalCommand:
         from ngtmsv.model import tmsv_spec
         want = wigner(0.3, tmsv_spec(), (0.0, 0.0, 0.0, 0.0))
         assert self._rows(out)["wigner"] == repr(want)
+
+    def test_import_footprint(self):
+        # every eval quantity, the Wigner row included, runs on numpy alone:
+        # scipy (used only by the oracle) and numpy.polynomial cost start-up
+        # time that every ngtmsv eval would pay
+        code = (
+            "import sys\n"
+            "import ngtmsv.cli as cli\n"
+            "rc = cli.main(['eval', '--preset', 'sym-pc-2', '--lambda', '0.5',"
+            " '--tau', '0.7', '--phi', '0.3', '--point', '0.1,0.2,-0.1,0.3'])\n"
+            "print(rc, [m for m in ('scipy', 'numpy.polynomial') if m in sys.modules])\n")
+        root = os.path.dirname(os.path.dirname(ngtmsv.__file__))
+        path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "0 []"
 
     def test_far_point_wigner_is_zero(self, capsys):
         # the Gaussian envelope underflows there; the row must not read nan
@@ -326,9 +350,9 @@ class TestSweepCommand:
         assert rc == 0
         assert out.splitlines() == [
             CSV_HEADER,
-            "0.5,1.0,0.1,0.01,-0.14278487631610842,ok",
-            "0.5,1.0,0.5,0.01,-0.013621296364821855,ok",
-            "0.5,1.0,0.9,0.01,0.01462706848569998,ok",
+            "0.5,1.0,0.1,0.01,-0.14278487631610765,ok",
+            "0.5,1.0,0.5,0.01,-0.013621296364821256,ok",
+            "0.5,1.0,0.9,0.01,0.014627068485700022,ok",
         ]
 
     def test_csv_golden_merit_two_photons(self, capsys):
@@ -338,8 +362,8 @@ class TestSweepCommand:
         assert rc == 0
         assert out.splitlines() == [
             CSV_HEADER,
-            "0.3,0.5,0.5,0.01,-0.8030191804012285,ok",
-            "0.6,0.5,0.5,0.01,-0.20438950290021407,ok",
+            "0.3,0.5,0.5,0.01,-0.8030191805120235,ok",
+            "0.6,0.5,0.5,0.01,-0.20438950289484303,ok",
         ]
 
     def test_csv_golden_merit_stationary_reference(self, capsys):
