@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import Dual, d_cos, d_sqrt
+from .dual import Dual
 from .errors import (
     ConsistencyError,
     ConstructionError,
@@ -35,6 +35,7 @@ from .errors import (
 from .model import (
     ModelParams,
     NGOperationSpec,
+    _parity_norm,
     derive_params,
     moment_coupling,
     moment_source_form,
@@ -54,6 +55,7 @@ _RESIDUE_TOL = 1e-10
 _PROB_FLOOR = 1e-300
 _SLOPE_FLOOR = 1e-14
 _PARITY_SLACK = 1e-9
+_TOP_WINDOW = 2.0 ** -30  # |cos phi| within which the slope is read from the curvature
 _DEFAULT_MOMENT_CAP = 4
 
 # probability_form(p) == D wigner_aux_form(p) D entry for entry, with
@@ -445,41 +447,53 @@ def _parity(state: _State, phi):
     diag(S11 + S13 sin phi, S22 + S24 sin phi), and sqrt(det(-A)) =
     norm / base_norm, so <Pi> = base_norm * num / (norm * core) with the
     numerator ``num`` of :func:`_parity_numerator`.
+
+    The slope at a fringe top: a heralded state has the definite photon
+    number difference (m1 - n1) - (m2 - n2). When the photon total, and so
+    that difference, is even, every component has an even photon number
+    and the signal is even about each phi* = pi/2 + m pi. Its slope there is
+    zero, but the quadrature's slope is a sum of terms that cancel, whose
+    rounding can exceed the stationary floor. Within ``_TOP_WINDOW`` of phi*
+    the slope is num'' * delta instead, with delta = phi - phi* =
+    -cos(phi) sin(phi) to relative O(delta^2), which is below rounding there.
     """
     params, den = state.params, state.core
     _check_floor(den / params.base_norm, "parity signal")
     if isinstance(phi, Dual):
-        value, slope = _parity_numerator(state, phi.value)
-        num = Dual(_real(value, "parity numerator"),
+        at = phi.value
+        top = (state.spec.total_photons % 2 == 0
+               and abs(math.cos(at)) <= _TOP_WINDOW)
+        series = _parity_numerator(state, at, 2 if top else 1)
+        slope = (2.0 * series[2] * (-math.cos(at) * math.sin(at)) if top
+                 else series[1])
+        num = Dual(_real(series[0], "parity numerator"),
                    _real(slope * phi.deriv, "parity numerator derivative"))
     else:
-        num = _real(_parity_numerator(state, phi)[0], "parity numerator")
-    lam = params.lam
-    tau12 = params.tau1 * params.tau2
-    inner = 1.0 + lam * lam * tau12 * (lam * lam * tau12 + 2 * d_cos(2 * phi))
-    norm = d_sqrt(inner) / (1.0 - lam * lam)
-    f = params.base_norm * num / (norm * den)
+        num = _real(_parity_numerator(state, phi, 0)[0], "parity numerator")
+    f = params.base_norm * num / (_parity_norm(params, phi) * den)
     mag = abs(f.value) if isinstance(f, Dual) else abs(f)
     if mag > 1.0 + _PARITY_SLACK:
         raise ConsistencyError(f"parity signal magnitude {mag} exceeds 1")
     return f
 
 
-def _parity_numerator(state: _State, phi: float) -> tuple:
-    """``num`` of :func:`_parity` at ``phi`` and its phi derivative.
+def _parity_numerator(state: _State, phi: float, order: int) -> np.ndarray:
+    """The Taylor coefficients of ``num`` of :func:`_parity` at ``phi``, up
+    to ``order`` (at most 2), as a complex array.
 
     Let num_W(xi) be the Wigner kernel's numerator and C the Wigner
     coupling. Substituting eta = L sqrt(2) x, L = diag(1/sqrt(-2 A_ii)),
     the plane integral of num_W(N eta) exp(eta^T A eta) is
     pi / sqrt(det(-A)) times num, the Gauss-Hermite sum of num_W over the
     nodes x with weights normalized to 1; at a node, num_W's linear term is
-    l = C N L sqrt(2) x. num_W(N eta) is a polynomial of total degree <= |k|,
-    so floor(|k|/2) + 1 nodes per axis make the sum exact. At a node,
+    l = C N L sqrt(2) x. exp(u^T Q u) has no terms of odd degree and |k| is
+    even, so num_W(N eta) is an even polynomial of total degree <= |k|, and
+    the rule of :func:`_plane_rule` makes the sum exact. At a node,
     num_W = a K b^T: a (b) holds prod_i l_i^j_i / j_i! over the first (last)
     half of u and K is the state's ``coeffs`` matrix. b is built per node,
-    K b^T and its derivative are two real BLAS products, and a is
-    contracted with them one variable at a time; the slope applies the
-    product rule throughout. Both are returned as complex numbers.
+    K b^T is contracted with ``np.einsum``, and a is contracted with it one
+    variable at a time. Every factor is a truncated Taylor series in phi,
+    held on a leading axis, and products are Cauchy products.
     """
     first, last, coupling, matrix, (s11, s13, s22, s24), (nodes, weights) = (
         state.parity_terms)
@@ -487,68 +501,97 @@ def _parity_numerator(state: _State, phi: float) -> tuple:
     diag = (s11 + s13 * sin_phi, s22 + s24 * sin_phi)
     if not (diag[0] < 0.0 and diag[1] < 0.0):
         raise ConstructionError("parity Gaussian must decay on the detection plane")
+    terms = order + 1
+    # the series of L and of N
     scale = np.array([1.0 / math.sqrt(-2.0 * a) for a in diag])
-    d_scale = scale ** 3 * np.array([s13 * cos_phi, s24 * cos_phi])
+    d_diag = np.array([s13, s24]) * cos_phi
+    scales = np.array([scale, scale ** 3 * d_diag,
+                       1.5 * scale ** 5 * d_diag ** 2
+                       - 0.5 * scale ** 3 * np.array([s13, s24]) * sin_phi])
     c, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
     rot = np.array([[c, 0.0], [0.0, c], [s, 0.0], [0.0, s]])
-    d_rot = 0.5 * np.array([[-s, 0.0], [0.0, -s], [c, 0.0], [0.0, c]])
-    # l = C N L u per node, elementwise rather than with `@`: the real
-    # products below are the only BLAS calls, and each BLAS routine's first
-    # use in a process costs resident memory
-    m = (coupling[:, :, None] * (rot * scale)).sum(axis=1)
-    d_m = (coupling[:, :, None] * (d_rot * scale + rot * d_scale)).sum(axis=1)
-    ell = m[:, :1] * nodes[0] + m[:, 1:] * nodes[1]
-    d_ell = d_m[:, :1] * nodes[0] + d_m[:, 1:] * nodes[1]
-    # powers[i, j] = ell_i^j / j! per node, and their phi derivatives
-    powers = np.empty((len(ell), max(first + last, default=0) + 1, len(weights)),
+    rots = np.array([rot, 0.5 * np.array([[-s, 0.0], [0.0, -s], [c, 0.0], [0.0, c]]),
+                     -0.125 * rot])
+    # the series of l = C N L x per node
+    m = np.einsum("eab,deb->dab", rots[:terms], _toeplitz(scales[:terms]))
+    m = np.einsum("va,dab->dvb", coupling, m)
+    ells = np.einsum("dvb,bn->dvn", m, nodes)
+    # powers[d, i, j] is the series of l_i^j / j! per node
+    n = len(weights)
+    powers = np.zeros((terms, len(coupling), max(first + last, default=0) + 1, n),
                       dtype=np.complex128)
-    powers[:, 0] = 1.0
-    for j in range(1, powers.shape[1]):
-        powers[:, j] = powers[:, j - 1] * ell / j
-    d_powers = np.zeros_like(powers)
-    d_powers[:, 1:] = powers[:, :-1] * d_ell[:, None]
-    n, split = len(weights), len(first)
-    b, d_b = _products(powers[split:], d_powers[split:], last)
-    # K is real: real products over the interleaved real and imaginary
-    # parts. Each operand is freed once used, which lowers the peak memory.
-    value = (matrix @ b.view(np.float64)).view(np.complex128)
-    del b
-    slope = (matrix @ d_b.view(np.float64)).view(np.complex128)
-    del d_b
-    # contract a with K b^T one first-half variable at a time, the fastest
-    # first; the slope takes the product rule
-    for p, dp, k in reversed(list(zip(powers[:split], d_powers[:split], first))):
-        p, dp = p[:k + 1], dp[:k + 1]
-        value, slope = value.reshape(-1, k + 1, n), slope.reshape(-1, k + 1, n)
-        value, slope = (np.einsum("ijn,jn->in", value, p),
-                        np.einsum("ijn,jn->in", slope, p)
-                        + np.einsum("ijn,jn->in", value, dp))
-    return complex((value[0] * weights).sum()), complex((slope[0] * weights).sum())
+    powers[0, :, 0] = 1.0
+    for j in range(1, powers.shape[2]):
+        powers[0, :, j] = _cmul(powers[0, :, j - 1], ells[0]) / j
+    powers[1:, :, 1:] = _cmul(powers[0, :, :-1], ells[1:, :, None])
+    if order == 2:
+        powers[2, :, 2:] += _cmul(powers[0, :, :-2],
+                                  0.5 * _cmul(ells[1], ells[1])[:, None])
+    split = len(first)
+    b = _products(powers[:, split:], last)
+    # K b^T: K is real, so it is contracted with the real and imaginary
+    # parts of b, a row per (order, node, part); the result's columns pair
+    # up into complex numbers. np.einsum without `optimize` calls no BLAS
+    # routine, whose last bits depend on the library build and the CPU.
+    b = b.transpose(0, 2, 1)
+    parts = np.stack((b.real, b.imag), axis=2).reshape(-1, b.shape[2])
+    values = np.einsum("ij,nj->in", matrix, parts).view(np.complex128)
+    values = values.reshape(len(matrix), terms, n).transpose(1, 0, 2)
+    # contract a with K b^T one first-half variable at a time, the fastest first
+    for i in reversed(range(split)):
+        k = first[i]
+        values = np.einsum("eijn,dejn->din", values.reshape(terms, -1, k + 1, n),
+                           _toeplitz(powers[:, i, :k + 1]))
+    return (values[:, 0] * weights).sum(axis=-1)
 
 
-def _products(powers: np.ndarray, d_powers: np.ndarray, orders: list) -> tuple:
-    """Per node (last axis), prod_i powers[i, j_i] for every j <= orders,
-    raveled with the last variable fastest, and its derivative."""
-    n = powers.shape[-1]
-    rows = np.ones((1, n), dtype=np.complex128)
-    d_rows = np.zeros_like(rows)
-    for p, dp, k in zip(powers, d_powers, orders):
-        p, dp = p[:k + 1], dp[:k + 1]
-        d_next = d_rows[:, None] * p
-        d_next += rows[:, None] * dp
-        rows, d_rows = (rows[:, None] * p).reshape(-1, n), d_next.reshape(-1, n)
-    return rows, d_rows
+def _toeplitz(series: np.ndarray) -> np.ndarray:
+    """t[d, e] = series[d - e] for e <= d, and 0 above. Summing e against
+    another truncated Taylor series (first axis) gives their Cauchy
+    product."""
+    terms = len(series)
+    out = np.zeros((terms,) + series.shape, dtype=series.dtype)
+    for e in range(terms):
+        out[e:, e] = series[:terms - e]
+    return out
+
+
+def _products(powers: np.ndarray, orders: list) -> np.ndarray:
+    """Per node (last axis), the series (first axis) of prod_i powers[:, i,
+    j_i] for every j <= orders, raveled with the last variable fastest."""
+    terms, n = len(powers), powers.shape[-1]
+    rows = np.zeros((terms, 1, n), dtype=np.complex128)
+    rows[0] = 1.0
+    for i, k in enumerate(orders):
+        rows = np.einsum("epn,dejn->dpjn", rows, _toeplitz(powers[:, i, :k + 1]))
+        rows = rows.reshape(terms, -1, n)
+    return rows
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for complex arrays, broadcast. numpy's complex multiply ufunc is
+    dispatched per CPU and fuses its products (FMA) where the CPU can, so
+    its last bits depend on the machine; np.einsum's loops are compiled
+    once for numpy's baseline instruction set and round the same on every
+    CPU."""
+    return np.einsum("...,...->...", x, y)
 
 
 @functools.lru_cache(maxsize=None)
 def _plane_rule(n: int) -> tuple:
-    """The n x n Gauss-Hermite rule for exp(-x^2 - y^2): node coordinates
-    times sqrt(2) as a (2, n^2) array, and weights normalized to sum 1.
+    """The n x n Gauss-Hermite rule for exp(-x^2 - y^2), folded for even
+    integrands: node coordinates times sqrt(2) as a (2, ceil(n^2/2)) array,
+    and weights that sum to 1.
 
     The roots of the n-th Hermite polynomial come from Newton's method on
     the orthonormal three-term recurrence, from the classic initial guesses
     (Numerical Recipes, gauher); the weights are 2 / psi_n'(x)^2. This needs
     no LAPACK call, whose first use costs about 0.75 MB of resident memory.
+    The rule is centrally symmetric: node q of the n^2, with the second
+    coordinate running fastest, mirrors node n^2 - 1 - q and has the same
+    weight. An even integrand takes the same value at both, so the first of
+    each pair is kept with twice the weight, and the centre node (odd n)
+    once.
     """
     x, w = [0.0] * n, [0.0] * n
     z = 0.0
@@ -576,8 +619,10 @@ def _plane_rule(n: int) -> tuple:
         x[n - 1 - i], x[i] = -z, z
         w[n - 1 - i] = w[i] = 2.0 / (slope * slope)
     x, w = np.array(x), np.outer(w, w).ravel()
-    nodes = math.sqrt(2.0) * np.array([np.repeat(x, n), np.tile(x, n)])
-    weights = w / w.sum()
+    w = w / w.sum()
+    pairs, kept = n * n // 2, (n * n + 1) // 2
+    nodes = math.sqrt(2.0) * np.array([np.repeat(x, n), np.tile(x, n)])[:, :kept]
+    weights = np.concatenate((2.0 * w[:pairs], w[pairs:kept]))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -588,7 +633,8 @@ def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
     Evaluated at the operating point ``phi`` (the signal is differentiated at
     ``phi + pi/2``, where the parity fringe crosses its steep region).
     """
-    return _sensitivity(_heralding(_as_lambda(lam), spec), _as_phase(phi))
+    phi = _as_phase(phi)
+    return _sensitivity(_heralding(_as_lambda(lam), spec), phi)
 
 
 def _sensitivity(state: _State, phi: float) -> float:
@@ -620,9 +666,9 @@ def merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
 
 def weighted_merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
     """Merit weighted by the heralding probability (resource-aware gain)."""
+    phi = _as_phase(phi)
     state = _heralding(_as_lambda(lam), spec)
-    return state.prob * (_tmsv_reference(lam, _as_phase(phi))
-                         - _sensitivity(state, phi))
+    return state.prob * (_tmsv_reference(lam, phi) - _sensitivity(state, phi))
 
 
 @dataclass(frozen=True)
@@ -655,8 +701,9 @@ class SensitivityReport:
 def sensitivity_report(lam: float, spec: NGOperationSpec,
                        phi: float) -> SensitivityReport:
     """Compute all figures of merit at one operating point."""
+    phi = _as_phase(phi)
     state = _heralding(_as_lambda(lam), spec)
-    parity = _parity(state, _as_phase(phi))
+    parity = _parity(state, phi)
     dphi = _sensitivity(state, phi)
     fisher = _qfi(_j2(state))
     bound = 1.0 / math.sqrt(fisher)

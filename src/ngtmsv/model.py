@@ -343,10 +343,16 @@ def parity_aux(p: ModelParams, phi) -> ParityAux:
     w[19] = (lam ** 3) * r2 * r2 * s2 * t1 ** 3 * t2
     w[20] = c1 * lam * lam * r2 * r2 * t1 * t1 * (ltt + 1.0)
 
+    return ParityAux(phi=phi, norm=_parity_norm(p, phi), weights=tuple(w))
+
+
+def _parity_norm(p: ModelParams, phi):
+    """The Gaussian normalization of the parity overlap at phase ``phi``
+    (a float or a :class:`Dual`)."""
+    lam = p.lam
     tau12 = p.tau1 * p.tau2
-    inner = 1.0 + lam * lam * tau12 * (lam * lam * tau12 + 2 * c2)
-    norm = d_sqrt(inner) / (1.0 - lam * lam)
-    return ParityAux(phi=phi, norm=norm, weights=tuple(w))
+    inner = 1.0 + lam * lam * tau12 * (lam * lam * tau12 + 2 * d_cos(2 * phi))
+    return d_sqrt(inner) / (1.0 - lam * lam)
 
 
 def parity_form(p: ModelParams, aux: ParityAux):

@@ -362,8 +362,8 @@ class TestSweepCommand:
         assert rc == 0
         assert out.splitlines() == [
             CSV_HEADER,
-            "0.3,0.5,0.5,0.01,-0.8030191805120235,ok",
-            "0.6,0.5,0.5,0.01,-0.20438950289484303,ok",
+            "0.3,0.5,0.5,0.01,-0.8030191804843412,ok",
+            "0.6,0.5,0.5,0.01,-0.20438950289524727,ok",
         ]
 
     def test_csv_golden_merit_stationary_reference(self, capsys):
