@@ -3,9 +3,12 @@
 Every function takes the squeezing parameter ``lam`` and an
 :class:`~ngtmsv.model.NGOperationSpec` and reduces the quantity to mixed
 partial derivatives of Gaussian generating functions (see
-:mod:`ngtmsv.series`). One engine call per (lam, spec) fills the heralding
-coefficient array; the probability, the Wigner kernel, the moments, the
-QFI, and the parity signal with its phase slope are all read from it.
+:mod:`ngtmsv.series`). One engine call fills the heralding coefficient
+arrays of a batch of states that share their photon numbers; the
+probability, the Wigner kernel, the moments, the QFI, and the parity
+signal with its phase slope are all read from them. The per-point
+functions evaluate a batch of one; :func:`evaluate_chunk` evaluates a
+sweep's chunk of tau values at once, with the same bits per point.
 Outputs that must be real are checked for imaginary residues before the
 imaginary part is discarded; quantities that
 normalize by the heralding probability raise
@@ -29,6 +32,7 @@ from .errors import (
     ConstructionError,
     DegenerateOperationError,
     DegenerateStateError,
+    NGError,
     ParameterError,
     StationaryPointError,
 )
@@ -131,16 +135,124 @@ def _herald_core(params: ModelParams, spec: NGOperationSpec, quad) -> complex:
                                  spec.derivative_spec())
 
 
-@dataclass(frozen=True, eq=False)
-class _State:
-    """One heralded state, evaluated once per (lam, spec).
+def _fail(faults: list, mask, error) -> None:
+    """Record ``error(b)`` for every batch entry b in ``mask`` that has no
+    fault yet: a point keeps the first error its evaluation raises."""
+    if mask.any():
+        for b in np.flatnonzero(mask):
+            if faults[b] is None:
+                faults[b] = error(b)
 
+
+def _real_parts(values: np.ndarray, what: str, faults: list) -> np.ndarray:
+    """:func:`_real` over a batch: the real parts, with a fault for every
+    entry whose imaginary residue is not negligible."""
+    re, im = values.real, values.imag
+    mag = np.abs(re)
+    _fail(faults, np.abs(im) > _RESIDUE_TOL * np.where(mag > 1.0, mag, 1.0),
+          lambda b: ConsistencyError(
+              f"{what} carries imaginary residue {im[b]:.3e} (re={re[b]:.3e})"))
+    return re
+
+
+def _pick(values: np.ndarray, faults: list, index: int) -> float:
+    """One entry of a batch result: its value, or the error it raised."""
+    if faults[index] is not None:
+        raise faults[index]
+    return float(values[index])
+
+
+def _scaled(spec: NGOperationSpec, arr: np.ndarray) -> np.ndarray:
+    """``prefactor * prod(k_i!) * arr[..., k - j]``, indexed by j."""
+    dspec = spec.derivative_spec()
+    fact = math.prod(map(math.factorial, dspec.orders))
+    return dspec.prefactor * fact * arr[(Ellipsis,) + (slice(None, None, -1),) * 8]
+
+
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Heralded states that share their photon numbers, evaluated at once.
+
+    ``params`` holds the batch's parameters (scalars for a batch of one).
     ``aux`` is the read-only engine array [u^j] exp(u^T Q_aux u), j <= k,
-    of :func:`wigner_aux_form`; ``core`` is the heralding derivative of the
-    probability form and ``prob`` the success probability. The kernel and
-    the moment contractions are derived from ``aux`` on first use and kept.
+    of :func:`wigner_aux_form` with a leading batch axis; ``core`` is the
+    heralding derivative of the probability form and ``prob`` the success
+    probability, per state. ``faults`` holds, per state, the error its
+    evaluation raises (or None); such a state's other entries are not read.
     """
 
+    params: ModelParams
+    specs: tuple
+    aux: np.ndarray
+    core: np.ndarray
+    prob: np.ndarray
+    faults: tuple
+
+    def state(self, index: int) -> _State:
+        """One state of the batch; raises the error its evaluation raised."""
+        if self.faults[index] is not None:
+            raise self.faults[index]
+        return _State(batch=self, index=index, params=self.params.at(index),
+                      spec=self.specs[index], aux=self.aux[index],
+                      core=float(self.core[index]), prob=float(self.prob[index]))
+
+    @functools.cached_property
+    def parity_terms(self) -> tuple:
+        """What :func:`_parity_numerator` reads: the derivative orders of
+        each half of u (variables of order 0 dropped), the coupling rows of
+        the variables kept, ``coeffs`` as real (first half, last half)
+        matrices, the phase-space entries (S11, S22) and (S13, S24) and
+        the plane rule. ``coeffs`` is not built here, which lowers a sweep's
+        peak memory."""
+        shape = self.aux.shape[1:]
+        first = [i for i in range(4) if shape[i] > 1]
+        last = [i for i in range(4, 8) if shape[i] > 1]
+        batch = len(self.aux)
+        coupling = wigner_coupling(self.params).reshape(batch, 8, 4)[:, first + last]
+        s = phase_space_form(self.params).reshape(batch, 4, 4)
+        matrix = np.ascontiguousarray(_scaled(self.specs[0], self.aux).reshape(
+            batch, math.prod(shape[:4]), -1))
+        return ([shape[i] - 1 for i in first], [shape[i] - 1 for i in last],
+                coupling, matrix, (s[:, [0, 1], [0, 1]], s[:, [0, 1], [2, 3]]),
+                _plane_rule((sum(shape) - 8) // 2 + 1))
+
+
+def _herald(lam: float, specs: tuple) -> _Batch:
+    """Evaluate heralded states that share their photon numbers, in one
+    engine call: the only place the heralding core is computed, so every
+    normalized quantity divides by the same number."""
+    # A batch of one has scalar parameters, whose forms get the batch axis.
+    params = derive_params(lam, specs if len(specs) > 1 else specs[0])
+    dspec = specs[0].derivative_spec()
+    aux = coefficient_array(GeneratingExponent(
+        8, wigner_aux_form(params).reshape(len(specs), 8, 8)), dspec)[0]
+    aux.flags.writeable = False
+    # The corner's probability sign is (-1)^(k2+k4+k5+k7) = (-1)^photons.
+    corner = aux[(slice(None),) + dspec.orders]
+    if specs[0].total_photons % 2:
+        corner = -corner
+    faults = [None] * len(specs)
+    core = dspec.prefactor * math.prod(map(math.factorial, dspec.orders)) * corner
+    _fail(faults, core < -_RESIDUE_TOL, lambda b: ConsistencyError(
+        f"heralding probability core is negative ({core[b]:.3e})"))
+    core = np.where(core > 0.0, core, 0.0)  # an impossible herald gives +0.0
+    p = core / params.base_norm
+    _fail(faults, p > 1.0 + _RESIDUE_TOL,
+          lambda b: ConsistencyError(f"heralding probability {p[b]} exceeds 1"))
+    return _Batch(params=params, specs=specs, aux=aux, core=core,
+                  prob=np.where(1.0 < p, 1.0, p), faults=tuple(faults))
+
+
+@dataclass(frozen=True, eq=False)
+class _State:
+    """State ``index`` of ``batch``, with scalar parameters.
+
+    The kernel and the moment contractions are derived from ``aux`` on
+    first use and kept.
+    """
+
+    batch: _Batch
+    index: int
     params: ModelParams
     spec: NGOperationSpec
     aux: np.ndarray
@@ -148,16 +260,12 @@ class _State:
     prob: float
     moments: dict = field(default_factory=dict)  # order -> _moment_tables
 
-    def _scaled(self, arr: np.ndarray) -> np.ndarray:
-        """``prefactor * prod(k_i!) * arr[k - j]``, indexed by j."""
-        dspec = self.spec.derivative_spec()
-        fact = math.prod(map(math.factorial, dspec.orders))
-        return dspec.prefactor * fact * arr[(slice(None, None, -1),) * 8]
-
     @functools.cached_property
     def coeffs(self) -> np.ndarray:
-        """``prefactor * prod(k_i!) * aux[k - j]``, indexed by j."""
-        out = self._scaled(self.aux)
+        """``prefactor * prod(k_i!) * aux[k - j]``, indexed by j, as a
+        complex array: the kernel and the moments multiply it with complex
+        factors, and a real array would be converted on every product."""
+        out = _scaled(self.spec, self.aux).astype(np.complex128)
         out.flags.writeable = False
         return out
 
@@ -166,65 +274,28 @@ class _State:
         params = self.params
         prob = self.core / params.base_norm  # unclamped: the kernel integrates to 1
         _check_floor(prob, "normalized Wigner")
-        quad = tuple(tuple(row) for row in phase_space_form(params))
         scale = 1.0 / (params.base_norm * math.pi ** 2 * prob)
-        return WignerKernel(coeffs=self.coeffs,
-                            coupling=np.array(wigner_coupling(params)),
-                            quad=quad, scale=scale)
-
-    @functools.cached_property
-    def parity_terms(self) -> tuple:
-        """What :func:`_parity_numerator` reads: the derivative orders of
-        each half of u (variables of order 0 dropped), the coupling rows of
-        the variables kept, ``coeffs`` as a real (first half, last half)
-        matrix, the phase-space entries (S11, S13, S22, S24) and the plane
-        rule. :func:`wigner_aux_form` is real, so is its array. ``coeffs``
-        is not built here, which lowers a sweep's peak memory."""
-        shape = self.aux.shape
-        first = [i for i in range(4) if shape[i] > 1]
-        last = [i for i in range(4, 8) if shape[i] > 1]
-        coupling = np.array(wigner_coupling(self.params))[first + last]
-        s = phase_space_form(self.params)
-        if self.aux.imag.any():
-            raise ConsistencyError("heralding coefficient array is not real")
-        matrix = np.ascontiguousarray(
-            self._scaled(self.aux.real).reshape(math.prod(shape[:4]), -1))
-        return ([shape[i] - 1 for i in first], [shape[i] - 1 for i in last],
-                coupling, matrix, (s[0][0], s[0][2], s[1][1], s[1][3]),
-                _plane_rule((sum(shape) - 8) // 2 + 1))
+        return WignerKernel(coeffs=self.coeffs, coupling=wigner_coupling(params),
+                            quad=tuple(map(tuple, phase_space_form(params).tolist())),
+                            scale=scale)
 
 
-# Public entry points share the last evaluation; private helpers take the
-# state explicitly, so an evaluation in between (such as the bare-TMSV
-# reference) cannot make a caller recompute. Exceptions are never cached.
+# Public entry points share the last evaluation, a batch of one; private
+# helpers take the state or batch explicitly, so an evaluation in between
+# (such as the bare-TMSV reference) cannot make a caller recompute.
+# Exceptions are never cached.
 @functools.lru_cache(maxsize=1, typed=True)
 def _heralding(lam: float, spec: NGOperationSpec) -> _State:
-    """Evaluate one heralded state: the only place the heralding core is
-    computed, so every normalized quantity divides by the same number."""
-    params = derive_params(lam, spec)
-    dspec = spec.derivative_spec()
-    aux = coefficient_array(GeneratingExponent(8, wigner_aux_form(params)),
-                            dspec)[0]
-    aux.flags.writeable = False
-    # The corner's probability sign is (-1)^(k2+k4+k5+k7) = (-1)^photons.
-    corner = complex(aux[dspec.orders])
-    if spec.total_photons % 2:
-        corner = -corner
-    core = _real(dspec.prefactor * math.prod(map(math.factorial, dspec.orders))
-                 * corner, "heralding probability")
-    if core < -_RESIDUE_TOL:
-        raise ConsistencyError(f"heralding probability core is negative ({core:.3e})")
-    core = core if core > 0.0 else 0.0  # an impossible herald gives +0.0
-    p = core / params.base_norm
-    if p > 1.0 + _RESIDUE_TOL:
-        raise ConsistencyError(f"heralding probability {p} exceeds 1")
-    return _State(params=params, spec=spec, aux=aux, core=core, prob=min(p, 1.0))
+    return _herald(lam, (spec,)).state(0)
 
 
 def _check_floor(prob: float, what: str) -> None:
     if prob < _PROB_FLOOR:
-        raise DegenerateOperationError(
-            f"heralding probability underflows; {what} undefined")
+        raise DegenerateOperationError(_floor_message(what))
+
+
+def _floor_message(what: str) -> str:
+    return f"heralding probability underflows; {what} undefined"
 
 
 def success_probability(lam: float, spec: NGOperationSpec) -> float:
@@ -435,18 +506,25 @@ def parity_expectation(lam: float, spec: NGOperationSpec, phi):
     """
     for part in (phi.value, phi.deriv) if isinstance(phi, Dual) else (phi,):
         _as_phase(part)
-    return _parity(_heralding(_as_lambda(lam), spec), phi)
+    state = _heralding(_as_lambda(lam), spec)
+    f, df, faults = _parity(state.batch, phi)
+    value = _pick(f, faults, state.index)
+    return value if df is None else Dual(value, float(df[state.index]))
 
 
-def _parity(state: _State, phi):
-    """The parity signal normalized by the state's probability core.
+def _parity(batch: _Batch, phi) -> tuple:
+    """The parity signal of every state of a batch, normalized by its
+    probability core: ``(f, df, faults)``, where ``df`` is the derivative
+    for a :class:`Dual` ``phi`` (else None) and ``faults`` holds per state
+    the error its evaluation raises, or None.
 
     <Pi> = pi * integral of W(N eta) d eta over the detection plane, where
     N's columns are (c, 0, s, 0) and (0, c, 0, s) with (c, s) = (cos, sin)
     of phi/2. The Gaussian factor is exp(eta^T A eta) with A = N^T S N =
     diag(S11 + S13 sin phi, S22 + S24 sin phi), and sqrt(det(-A)) =
     norm / base_norm, so <Pi> = base_norm * num / (norm * core) with the
-    numerator ``num`` of :func:`_parity_numerator`.
+    numerator ``num`` of :func:`_parity_numerator`. The quotient is the
+    arithmetic of :class:`Dual`, written out per batch entry.
 
     The slope at a fringe top: a heralded state has the definite photon
     number difference (m1 - n1) - (m2 - n2). When the photon total, and so
@@ -457,29 +535,40 @@ def _parity(state: _State, phi):
     the slope is num'' * delta instead, with delta = phi - phi* =
     -cos(phi) sin(phi) to relative O(delta^2), which is below rounding there.
     """
-    params, den = state.params, state.core
-    _check_floor(den / params.base_norm, "parity signal")
-    if isinstance(phi, Dual):
-        at = phi.value
-        top = (state.spec.total_photons % 2 == 0
-               and abs(math.cos(at)) <= _TOP_WINDOW)
-        series = _parity_numerator(state, at, 2 if top else 1)
-        slope = (2.0 * series[2] * (-math.cos(at) * math.sin(at)) if top
-                 else series[1])
-        num = Dual(_real(series[0], "parity numerator"),
-                   _real(slope * phi.deriv, "parity numerator derivative"))
-    else:
-        num = _real(_parity_numerator(state, phi, 0)[0], "parity numerator")
-    f = params.base_norm * num / (_parity_norm(params, phi) * den)
-    mag = abs(f.value) if isinstance(f, Dual) else abs(f)
-    if mag > 1.0 + _PARITY_SLACK:
-        raise ConsistencyError(f"parity signal magnitude {mag} exceeds 1")
-    return f
+    params, den = batch.params, batch.core
+    faults = list(batch.faults)
+    _fail(faults, den / params.base_norm < _PROB_FLOOR,
+          lambda b: DegenerateOperationError(_floor_message("parity signal")))
+    at = phi.value if isinstance(phi, Dual) else phi
+    top = (isinstance(phi, Dual) and batch.specs[0].total_photons % 2 == 0
+           and abs(math.cos(at)) <= _TOP_WINDOW)
+    order = 2 if top else 1 if isinstance(phi, Dual) else 0
+    series = _parity_numerator(batch, at, order, faults)
+    num = _real_parts(series[:, 0], "parity numerator", faults)
+    norm = _parity_norm(params, phi)
+    # a state with a fault may divide by zero here; its entries are not read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(phi, Dual):
+            slope = (2.0 * series[:, 2] * (-math.cos(at) * math.sin(at)) if top
+                     else series[:, 1])
+            dnum = _real_parts(slope * phi.deriv, "parity numerator derivative", faults)
+            top_v, top_d = num * params.base_norm, dnum * params.base_norm
+            bottom_v, bottom_d = norm.value * den, norm.deriv * den
+            f = top_v / bottom_v
+            df = (top_d - f * bottom_d) / bottom_v
+        else:
+            f, df = params.base_norm * num / (norm * den), None
+    mag = np.abs(f)
+    _fail(faults, mag > 1.0 + _PARITY_SLACK, lambda b: ConsistencyError(
+        f"parity signal magnitude {float(mag[b])} exceeds 1"))
+    return f, df, faults
 
 
-def _parity_numerator(state: _State, phi: float, order: int) -> np.ndarray:
+def _parity_numerator(batch: _Batch, phi: float, order: int,
+                      faults: list) -> np.ndarray:
     """The Taylor coefficients of ``num`` of :func:`_parity` at ``phi``, up
-    to ``order`` (at most 2), as a complex array.
+    to ``order`` (at most 2), as a complex (batch, order + 1) array; states
+    whose numerator is undefined get a fault.
 
     Let num_W(xi) be the Wigner kernel's numerator and C the Wigner
     coupling. Substituting eta = L sqrt(2) x, L = diag(1/sqrt(-2 A_ii)),
@@ -493,78 +582,85 @@ def _parity_numerator(state: _State, phi: float, order: int) -> np.ndarray:
     half of u and K is the state's ``coeffs`` matrix. b is built per node,
     K b^T is contracted with ``np.einsum``, and a is contracted with it one
     variable at a time. Every factor is a truncated Taylor series in phi,
-    held on a leading axis, and products are Cauchy products.
+    held on the axis after the batch axis, and products are Cauchy
+    products. The batch axis leads every array and is never summed over,
+    so each state's sums run in the order they run for a batch of one.
     """
-    first, last, coupling, matrix, (s11, s13, s22, s24), (nodes, weights) = (
-        state.parity_terms)
+    first, last, coupling, matrix, (s_even, s_odd), (nodes, weights) = (
+        batch.parity_terms)
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
-    diag = (s11 + s13 * sin_phi, s22 + s24 * sin_phi)
-    if not (diag[0] < 0.0 and diag[1] < 0.0):
-        raise ConstructionError("parity Gaussian must decay on the detection plane")
+    diag = s_even + s_odd * sin_phi
+    grows = ~(diag < 0.0).all(axis=1)
+    if grows.any():
+        _fail(faults, grows, lambda b: ConstructionError(
+            "parity Gaussian must decay on the detection plane"))
+        diag = np.where(grows[:, None], -0.5, diag)  # a stand-in for those states
     terms = order + 1
     # the series of L and of N
-    scale = np.array([1.0 / math.sqrt(-2.0 * a) for a in diag])
-    d_diag = np.array([s13, s24]) * cos_phi
-    scales = np.array([scale, scale ** 3 * d_diag,
-                       1.5 * scale ** 5 * d_diag ** 2
-                       - 0.5 * scale ** 3 * np.array([s13, s24]) * sin_phi])
+    scale = 1.0 / np.sqrt(-2.0 * diag)
+    cube = scale ** 3
+    d_diag = s_odd * cos_phi
+    scales = np.array([scale, cube * d_diag, 1.5 * scale ** 5 * d_diag ** 2
+                       - 0.5 * cube * s_odd * sin_phi]).swapaxes(0, 1)
     c, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
     rot = np.array([[c, 0.0], [0.0, c], [s, 0.0], [0.0, s]])
     rots = np.array([rot, 0.5 * np.array([[-s, 0.0], [0.0, -s], [c, 0.0], [0.0, c]]),
                      -0.125 * rot])
     # the series of l = C N L x per node
-    m = np.einsum("eab,deb->dab", rots[:terms], _toeplitz(scales[:terms]))
-    m = np.einsum("va,dab->dvb", coupling, m)
-    ells = np.einsum("dvb,bn->dvn", m, nodes)
-    # powers[d, i, j] is the series of l_i^j / j! per node
+    m = np.einsum("eab,xdeb->xdab", rots[:terms], _toeplitz(scales[:, :terms]))
+    m = np.einsum("xva,xdab->xdvb", coupling, m)
+    ells = np.einsum("xdvb,bn->xdvn", m, nodes)
+    # powers[x, d, i, j] is the series of l_i^j / j! per node
     n = len(weights)
-    powers = np.zeros((terms, len(coupling), max(first + last, default=0) + 1, n),
-                      dtype=np.complex128)
-    powers[0, :, 0] = 1.0
-    for j in range(1, powers.shape[2]):
-        powers[0, :, j] = _cmul(powers[0, :, j - 1], ells[0]) / j
-    powers[1:, :, 1:] = _cmul(powers[0, :, :-1], ells[1:, :, None])
+    powers = np.zeros((len(matrix), terms, coupling.shape[1],
+                       max(first + last, default=0) + 1, n), dtype=np.complex128)
+    powers[:, 0, :, 0] = 1.0
+    for j in range(1, powers.shape[3]):
+        powers[:, 0, :, j] = _cmul(powers[:, 0, :, j - 1], ells[:, 0]) / j
+    powers[:, 1:, :, 1:] = _cmul(powers[:, :1, :, :-1], ells[:, 1:, :, None])
     if order == 2:
-        powers[2, :, 2:] += _cmul(powers[0, :, :-2],
-                                  0.5 * _cmul(ells[1], ells[1])[:, None])
+        powers[:, 2, :, 2:] += _cmul(powers[:, 0, :, :-2],
+                                     0.5 * _cmul(ells[:, 1], ells[:, 1])[:, :, None])
     split = len(first)
-    b = _products(powers[:, split:], last)
+    b = _products(powers[:, :, split:], last)
     # K b^T: K is real, so it is contracted with the real and imaginary
     # parts of b, a row per (order, node, part); the result's columns pair
     # up into complex numbers. np.einsum without `optimize` calls no BLAS
     # routine, whose last bits depend on the library build and the CPU.
-    b = b.transpose(0, 2, 1)
-    parts = np.stack((b.real, b.imag), axis=2).reshape(-1, b.shape[2])
-    values = np.einsum("ij,nj->in", matrix, parts).view(np.complex128)
-    values = values.reshape(len(matrix), terms, n).transpose(1, 0, 2)
+    b = b.transpose(0, 1, 3, 2)
+    parts = np.stack((b.real, b.imag), axis=3).reshape(len(b), -1, b.shape[3])
+    values = np.einsum("xij,xnj->xin", matrix, parts).view(np.complex128)
+    values = values.reshape(matrix.shape[:2] + (terms, n)).transpose(0, 2, 1, 3)
     # contract a with K b^T one first-half variable at a time, the fastest first
     for i in reversed(range(split)):
         k = first[i]
-        values = np.einsum("eijn,dejn->din", values.reshape(terms, -1, k + 1, n),
-                           _toeplitz(powers[:, i, :k + 1]))
-    return (values[:, 0] * weights).sum(axis=-1)
+        values = np.einsum("xeijn,xdejn->xdin",
+                           values.reshape(len(b), terms, -1, k + 1, n),
+                           _toeplitz(powers[:, :, i, :k + 1]))
+    return (values[:, :, 0] * weights).sum(axis=-1)
 
 
 def _toeplitz(series: np.ndarray) -> np.ndarray:
-    """t[d, e] = series[d - e] for e <= d, and 0 above. Summing e against
-    another truncated Taylor series (first axis) gives their Cauchy
-    product."""
-    terms = len(series)
-    out = np.zeros((terms,) + series.shape, dtype=series.dtype)
+    """t[x, d, e] = series[x, d - e] for e <= d, and 0 above. Summing e
+    against another truncated Taylor series (the axis after the batch
+    axis) gives their Cauchy product."""
+    terms = series.shape[1]
+    out = np.zeros(series.shape[:1] + (terms,) + series.shape[1:], dtype=series.dtype)
     for e in range(terms):
-        out[e:, e] = series[:terms - e]
+        out[:, e:, e] = series[:, :terms - e]
     return out
 
 
 def _products(powers: np.ndarray, orders: list) -> np.ndarray:
-    """Per node (last axis), the series (first axis) of prod_i powers[:, i,
-    j_i] for every j <= orders, raveled with the last variable fastest."""
-    terms, n = len(powers), powers.shape[-1]
-    rows = np.zeros((terms, 1, n), dtype=np.complex128)
-    rows[0] = 1.0
+    """Per batch entry and node (last axis), the series (second axis) of
+    prod_i powers[:, :, i, j_i] for every j <= orders, raveled with the last
+    variable fastest."""
+    batch, terms, n = len(powers), powers.shape[1], powers.shape[-1]
+    rows = np.zeros((batch, terms, 1, n), dtype=np.complex128)
+    rows[:, 0] = 1.0
     for i, k in enumerate(orders):
-        rows = np.einsum("epn,dejn->dpjn", rows, _toeplitz(powers[:, i, :k + 1]))
-        rows = rows.reshape(terms, -1, n)
+        rows = np.einsum("xepn,xdejn->xdpjn", rows, _toeplitz(powers[:, :, i, :k + 1]))
+        rows = rows.reshape(batch, terms, -1, n)
     return rows
 
 
@@ -634,19 +730,20 @@ def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
     ``phi + pi/2``, where the parity fringe crosses its steep region).
     """
     phi = _as_phase(phi)
-    return _sensitivity(_heralding(_as_lambda(lam), spec), phi)
+    state = _heralding(_as_lambda(lam), spec)
+    return _pick(*_sensitivity(state.batch, phi), state.index)
 
 
-def _sensitivity(state: _State, phi: float) -> float:
-    fd = _parity(state, Dual(phi + math.pi / 2.0, 1.0))
-    slope = fd.deriv
-    if abs(slope) < _SLOPE_FLOOR:
-        raise StationaryPointError(
-            f"parity slope {slope:.3e} vanishes at phi={phi}; sensitivity undefined")
-    variance = 1.0 - fd.value * fd.value
-    if variance < -2.0 * _PARITY_SLACK:
-        raise ConsistencyError(f"parity variance {variance:.3e} is negative")
-    return math.sqrt(max(variance, 0.0)) / abs(slope)
+def _sensitivity(batch: _Batch, phi: float) -> tuple:
+    """delta_phi of every state of a batch, and the faults of :func:`_parity`."""
+    f, slope, faults = _parity(batch, Dual(phi + math.pi / 2.0, 1.0))
+    _fail(faults, np.abs(slope) < _SLOPE_FLOOR, lambda b: StationaryPointError(
+        f"parity slope {slope[b]:.3e} vanishes at phi={phi}; sensitivity undefined"))
+    variance = 1.0 - f * f
+    _fail(faults, variance < -2.0 * _PARITY_SLACK, lambda b: ConsistencyError(
+        f"parity variance {variance[b]:.3e} is negative"))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only at faults
+        return np.sqrt(np.where(0.0 > variance, 0.0, variance)) / np.abs(slope), faults
 
 
 # A sweep holds lam fixed along a row and varies phi fastest, so the
@@ -668,7 +765,70 @@ def weighted_merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
     """Merit weighted by the heralding probability (resource-aware gain)."""
     phi = _as_phase(phi)
     state = _heralding(_as_lambda(lam), spec)
-    return state.prob * (_tmsv_reference(lam, phi) - _sensitivity(state, phi))
+    ref = _tmsv_reference(lam, phi)
+    return state.prob * (ref - _pick(*_sensitivity(state.batch, phi), state.index))
+
+
+_STATE_QUANTITIES = ("probability", "qfi", "qcrb", "wigner")
+_PHASE_QUANTITIES = ("parity", "sensitivity", "merit", "weighted_merit")
+
+
+def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
+    """One quantity at every point (lam, spec, phi), spec outermost, from
+    one heralding array for all of ``specs``, which must share their photon
+    numbers. ``quantity`` is a sweep quantity name; ``point`` is the Wigner
+    point. Returns per point the value that the per-point function
+    (``success_probability``, ``qfi``, ``qcrb``, ``parity_expectation``,
+    ``phase_sensitivity``, ``merit``, ``weighted_merit`` or ``wigner``)
+    returns there, bit for bit, or the :class:`~ngtmsv.errors.NGError` it
+    raises. Invalid arguments raise at once.
+    """
+    if quantity not in _STATE_QUANTITIES + _PHASE_QUANTITIES:
+        raise ParameterError(f"unknown quantity {quantity!r}")
+    xi = _as_point(point) if quantity == "wigner" else None
+    lam, phis = _as_lambda(lam), [_as_phase(phi) for phi in phis]
+    batch = _herald(lam, tuple(specs))
+    if quantity in _STATE_QUANTITIES:
+        outcomes = [_state_outcome(quantity, batch, b, xi) for b in range(len(specs))]
+        return [out for out in outcomes for _ in phis]
+    columns = [_phase_outcomes(quantity, batch, lam, phi) for phi in phis]
+    return [column[b] for b in range(len(specs)) for column in columns]
+
+
+def _state_outcome(quantity: str, batch: _Batch, index: int, xi):
+    """A phase-free quantity of one state of a batch, or its error."""
+    try:
+        state = batch.state(index)
+        if quantity == "probability":
+            return state.prob
+        if quantity == "wigner":
+            return state.kernel(xi)
+        _check_floor(state.prob, "moments")
+        fisher = _qfi(_j2(state))
+        return fisher if quantity == "qfi" else 1.0 / math.sqrt(fisher)
+    except NGError as err:
+        return err
+
+
+def _phase_outcomes(quantity: str, batch: _Batch, lam: float, phi: float) -> list:
+    """A phase quantity of every state of a batch at ``phi``, or the error
+    of each state, in the order the per-point function raises them."""
+    if quantity == "parity":
+        values, _, faults = _parity(batch, phi)
+    else:
+        if quantity != "sensitivity":
+            try:
+                ref = _tmsv_reference(lam, phi)
+            except NGError as err:
+                # merit reads the reference first, weighted merit the state
+                return [err if quantity == "merit" or fault is None else fault
+                        for fault in batch.faults]
+        values, faults = _sensitivity(batch, phi)
+        if quantity == "merit":
+            values = ref - values
+        elif quantity == "weighted_merit":
+            values = batch.prob * (ref - values)
+    return [float(v) if fault is None else fault for v, fault in zip(values, faults)]
 
 
 @dataclass(frozen=True)
@@ -703,8 +863,9 @@ def sensitivity_report(lam: float, spec: NGOperationSpec,
     """Compute all figures of merit at one operating point."""
     phi = _as_phase(phi)
     state = _heralding(_as_lambda(lam), spec)
-    parity = _parity(state, phi)
-    dphi = _sensitivity(state, phi)
+    f, _, faults = _parity(state.batch, phi)
+    parity = _pick(f, faults, state.index)
+    dphi = _pick(*_sensitivity(state.batch, phi), state.index)
     fisher = _qfi(_j2(state))
     bound = 1.0 / math.sqrt(fisher)
     gain = _tmsv_reference(lam, phi) - dphi
@@ -730,4 +891,5 @@ __all__ = [
     "merit",
     "weighted_merit",
     "sensitivity_report",
+    "evaluate_chunk",
 ]

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
 
-from .dual import Dual, d_cos, d_sin, d_sqrt
+import numpy as np
+
+from .dual import Dual, d_cos, d_sin
 from .errors import ConstructionError, ParameterError
 from .series import DerivativeSpec, GeneratingExponent
 
@@ -130,7 +131,8 @@ class ModelParams:
     ``sinh_r = lam/sqrt(1-lam^2)`` and ``cosh_r = 1/sqrt(1-lam^2)`` are the
     squeezing sinh/cosh; ``t_i, refl_i`` are amplitude transmissivity and
     reflectivity; ``base_norm = 1 + sinh_r^2 (1 - tau1 tau2)`` normalizes the
-    zero-detection Gaussian branch.
+    zero-detection Gaussian branch. For a batch of operations the fields
+    that vary across it are arrays with a leading batch axis.
     """
 
     lam: float
@@ -145,37 +147,76 @@ class ModelParams:
     refl2: float
     base_norm: float
 
+    def at(self, index: int) -> "ModelParams":
+        """The scalar parameters of one entry of a batch, as Python floats."""
+        return ModelParams(*(
+            float(v[index]) if isinstance(v, np.ndarray) else v
+            for v in (getattr(self, f.name) for f in fields(self))))
 
-def derive_params(lam: float, spec: NGOperationSpec) -> ModelParams:
-    """Validate the squeezing parameter and derive the shared scalars."""
+
+def _check_lambda(lam) -> None:
+    if not isinstance(lam, numbers.Real):
+        raise ParameterError(f"lambda must be a real number, got {lam!r}")
     if not (0.0 <= lam < 1.0):
         raise ParameterError(f"lambda must lie in [0, 1), got {lam!r}")
+
+
+def derive_params(lam, spec) -> ModelParams:
+    """Validate the squeezing parameter and derive the shared scalars.
+
+    ``spec`` is one :class:`NGOperationSpec`, or a sequence of them for a
+    batch at one ``lam``; then the fields that depend on tau are arrays over
+    the batch. lam is checked first, then tau1 and tau2 of each spec in
+    batch order, and the first bad value raises the :class:`ParameterError`
+    a single evaluation raises.
+    """
+    _check_lambda(lam)
+    if isinstance(spec, NGOperationSpec):
+        tau1, tau2, sqrt = spec.tau1, spec.tau2, math.sqrt
+    else:
+        specs = tuple(spec)
+        tau1 = np.array([s.tau1 for s in specs], dtype=float)
+        tau2 = np.array([s.tau2 for s in specs], dtype=float)
+        if not ((0.0 < tau1) & (tau1 <= 1.0) & (0.0 < tau2) & (tau2 <= 1.0)).all():
+            for s in specs:
+                _check_tau("tau1", s.tau1)
+                _check_tau("tau2", s.tau2)
+        sqrt = np.sqrt
     r = math.atanh(lam)
     sc = 1.0 / math.sqrt(1.0 - lam * lam)
     sh = lam * sc
-    t1 = math.sqrt(spec.tau1)
-    t2 = math.sqrt(spec.tau2)
-    refl1 = math.sqrt(1.0 - spec.tau1)
-    refl2 = math.sqrt(1.0 - spec.tau2)
-    base = 1.0 + sh * sh * (1.0 - spec.tau1 * spec.tau2)
-    return ModelParams(lam=lam, tau1=spec.tau1, tau2=spec.tau2, r=r,
-                       sinh_r=sh, cosh_r=sc, t1=t1, t2=t2,
-                       refl1=refl1, refl2=refl2, base_norm=base)
+    base = 1.0 + sh * sh * (1.0 - tau1 * tau2)
+    return ModelParams(lam=lam, tau1=tau1, tau2=tau2, r=r,
+                       sinh_r=sh, cosh_r=sc, t1=sqrt(tau1), t2=sqrt(tau2),
+                       refl1=sqrt(1.0 - tau1), refl2=sqrt(1.0 - tau2),
+                       base_norm=base)
 
 
 # ---------------------------------------------------------------------------
 # Quadratic-form builders. Entries follow the closed-form Gaussian integrals
-# for the heralded state; each matrix is returned as a GeneratingExponent
-# block or plain nested list with the stated variable ordering.
+# for the heralded state. Each form is a numpy array whose leading axes are
+# the batch axes of its parameters (none for a single operation). Every
+# entry is its scalar expression evaluated elementwise, so a batch entry
+# holds the bits of its operation alone.
 # ---------------------------------------------------------------------------
 
 
+def _symmetric(p: ModelParams, size: int, scale, entries: dict) -> np.ndarray:
+    """A size x size form that holds ``scale * value`` at (i, j) and (j, i)
+    for each ``(i, j): value`` of ``entries``, and zeros elsewhere."""
+    rows, cols = zip(*entries)
+    values = np.asarray(scale)[..., None] * np.array(list(entries.values())).T
+    mat = np.zeros(np.shape(p.base_norm) + (size, size))
+    mat[..., rows, cols] = values
+    mat[..., cols, rows] = values
+    return mat
+
+
 def _check_symmetric(mat, name):
-    n = len(mat)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (mat[i][j] == mat[j][i]):
-                raise ConstructionError(f"{name} not symmetric at ({i},{j})")
+    asym = mat != np.swapaxes(mat, -1, -2)
+    if asym.any():
+        i, j = np.argwhere(np.triu(asym.reshape((-1,) + mat.shape[-2:]).any(0)))[0]
+        raise ConstructionError(f"{name} not symmetric at ({i},{j})")
 
 
 def phase_space_form(p: ModelParams):
@@ -185,12 +226,8 @@ def phase_space_form(p: ModelParams):
     dg = a * a * (tt * tt + 1.0) + 1.0
     od = 2.0 * a * b * tt
     s = -1.0 / p.base_norm
-    mat = [
-        [s * dg, 0.0, s * -od, 0.0],
-        [0.0, s * dg, 0.0, s * od],
-        [s * -od, 0.0, s * dg, 0.0],
-        [0.0, s * od, 0.0, s * dg],
-    ]
+    mat = _symmetric(p, 4, s, {(0, 0): dg, (1, 1): dg, (2, 2): dg, (3, 3): dg,
+                               (0, 2): -od, (1, 3): od})
     _check_symmetric(mat, "phase-space form")
     return mat
 
@@ -208,17 +245,22 @@ def wigner_coupling(p: ModelParams):
     aa2 = a * a * r2 * t1 * t1 * t2
     ab1 = a * b * r1 * t2
     ab2 = a * b * r2 * t1
-    rows = [
-        (-bb1, -1j * bb1, ab12, -1j * ab12),
-        (bb1, -1j * bb1, -ab12, -1j * ab12),
-        (ab21, -1j * ab21, -bb2, -1j * bb2),
-        (-ab21, -1j * ab21, bb2, -1j * bb2),
-        (-aa1, -1j * aa1, ab1, -1j * ab1),
-        (aa1, -1j * aa1, -ab1, -1j * ab1),
-        (ab2, -1j * ab2, -aa2, -1j * aa2),
-        (-ab2, -1j * ab2, aa2, -1j * aa2),
-    ]
-    return [[s * c for c in row] for row in rows]
+    # Rows 2k and 2k+1 are (-+x_k, -1j x_k, +-y_k, -1j y_k) with x, y >= 0
+    # and the upper signs at k = 0, 2. As s < 0, s * (-1j x) has real part
+    # +0.0 and imaginary part s * -x = -(s * x), so the parts are filled
+    # directly: parts[..., k, row in pair, column, real/imaginary].
+    s = np.asarray(s)[..., None]
+    x = s * np.array((bb1, ab21, aa1, ab2)).T
+    y = s * np.array((ab12, bb2, ab1, aa2)).T
+    sign = np.array([-1.0, 1.0, -1.0, 1.0])
+    parts = np.zeros(x.shape[:-1] + (4, 2, 4, 2))
+    parts[..., 0, 0, 0] = sign * x
+    parts[..., 1, 0, 0] = -sign * x
+    parts[..., 0, 2, 0] = -sign * y
+    parts[..., 1, 2, 0] = sign * y
+    parts[..., 1, 1] = -x[..., None]
+    parts[..., 3, 1] = -y[..., None]
+    return parts.view(np.complex128).reshape(x.shape[:-1] + (8, 4))
 
 
 def _herald_quad(p: ModelParams, sign: float):
@@ -238,17 +280,11 @@ def _herald_quad(p: ModelParams, sign: float):
     z1 = sign * a * a * r1 * r1 * t2 * t2
     z2 = sign * a * a * r2 * r2 * t1 * t1
     w = -a * b * r1 * r2
-    mat = [
-        [0.0, bb1, x12, 0.0, 0.0, c1, y1, 0.0],
-        [bb1, 0.0, 0.0, x12, c1, 0.0, 0.0, y1],
-        [x12, 0.0, 0.0, bb2, y2, 0.0, 0.0, c2],
-        [0.0, x12, bb2, 0.0, 0.0, y2, c2, 0.0],
-        [0.0, c1, y2, 0.0, 0.0, z1, w, 0.0],
-        [c1, 0.0, 0.0, y2, z1, 0.0, 0.0, w],
-        [y1, 0.0, 0.0, c2, w, 0.0, 0.0, z2],
-        [0.0, y1, c2, 0.0, 0.0, w, z2, 0.0],
-    ]
-    return [[s * c for c in row] for row in mat]
+    return _symmetric(p, 8, s, {
+        (0, 1): bb1, (0, 2): x12, (0, 5): c1, (0, 6): y1,
+        (1, 3): x12, (1, 4): c1, (1, 7): y1, (2, 3): bb2,
+        (2, 4): y2, (2, 7): c2, (3, 5): y2, (3, 6): c2,
+        (4, 5): z1, (4, 6): w, (5, 7): w, (6, 7): z2})
 
 
 def wigner_aux_form(p: ModelParams):
@@ -265,22 +301,20 @@ def probability_form(p: ModelParams):
 # The moment blocks are the Wigner blocks up to signs and powers of two, both
 # exact in floating point: D = diag(1,1,-1,-1) acts on x and
 # R = diag(1,1,-1,-1,-1,-1,1,1) on u.
-_D = (1.0, 1.0, -1.0, -1.0)
-_R = (1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0)
+_D = np.array([1.0, 1.0, -1.0, -1.0])
+_R = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
 
 
 def moment_coupling(p: ModelParams):
     """8x4 coupling of u to the moment source vector x: 1/2 R C D, where C
     is :func:`wigner_coupling`."""
-    return [[0.5 * r * d * c for d, c in zip(_D, row)]
-            for r, row in zip(_R, wigner_coupling(p))]
+    return 0.5 * _R[:, None] * _D * wigner_coupling(p)
 
 
 def moment_source_form(p: ModelParams):
     """4x4 quadratic form in the moment source vector x: -1/4 D S D, where S
     is :func:`phase_space_form`."""
-    return [[-0.25 * di * dj * c for dj, c in zip(_D, row)]
-            for di, row in zip(_D, phase_space_form(p))]
+    return -0.25 * _D[:, None] * _D * phase_space_form(p)
 
 
 @dataclass(frozen=True)
@@ -348,11 +382,19 @@ def parity_aux(p: ModelParams, phi) -> ParityAux:
 
 def _parity_norm(p: ModelParams, phi):
     """The Gaussian normalization of the parity overlap at phase ``phi``
-    (a float or a :class:`Dual`)."""
+    (a float, or a :class:`Dual` for its phase derivative too). The
+    parameters may be a batch; the derivative is the chain rule that
+    :class:`Dual` arithmetic applies, written out in the same order."""
     lam = p.lam
-    tau12 = p.tau1 * p.tau2
-    inner = 1.0 + lam * lam * tau12 * (lam * lam * tau12 + 2 * d_cos(2 * phi))
-    return d_sqrt(inner) / (1.0 - lam * lam)
+    x = lam * lam * (p.tau1 * p.tau2)
+    at, seed = (phi.value, phi.deriv) if isinstance(phi, Dual) else (phi, 0.0)
+    inner = 1.0 + (2 * math.cos(2 * at) + x) * x
+    root = np.sqrt(inner) if isinstance(inner, np.ndarray) else math.sqrt(inner)
+    norm = root / (1.0 - lam * lam)
+    if not isinstance(phi, Dual):
+        return norm
+    d_inner = -math.sin(2 * at) * (seed * 2) * 2 * x
+    return Dual(norm, d_inner / (2 * root) / (1.0 - lam * lam))
 
 
 def parity_form(p: ModelParams, aux: ParityAux):
@@ -374,22 +416,13 @@ def parity_form(p: ModelParams, aux: ParityAux):
 def moment_exponent(p: ModelParams) -> GeneratingExponent:
     """12-variable exponent (u then x) for quadrature moments:
     u^T Q_u u + u^T C x + x^T Q_x x."""
-    qu = probability_form(p)
-    cx = moment_coupling(p)
-    qx = moment_source_form(p)
-    dim = 12
-    quad = [[0.0] * dim for _ in range(dim)]
-    for i in range(8):
-        for j in range(8):
-            quad[i][j] = qu[i][j]
-    for i in range(8):
-        for a in range(4):
-            quad[i][8 + a] = cx[i][a] / 2.0
-            quad[8 + a][i] = cx[i][a] / 2.0
-    for a in range(4):
-        for b in range(4):
-            quad[8 + a][8 + b] = qx[a][b]
-    return GeneratingExponent(dim, quad)
+    half = moment_coupling(p) / 2.0
+    quad = np.zeros((12, 12), dtype=complex)
+    quad[:8, :8] = probability_form(p)
+    quad[:8, 8:] = half
+    quad[8:, :8] = half.T
+    quad[8:, 8:] = moment_source_form(p)
+    return GeneratingExponent(12, quad)
 
 
 __all__ = [

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,27 +38,42 @@ class GeneratingExponent:
     """Exponent data ``u^T quad u + lin . u + const`` over ``dim`` variables.
 
     ``quad`` must be symmetric (checked exactly on construction); ``lin`` is a
-    length-``dim`` sequence; entries may be numbers or Duals.
+    length-``dim`` sequence; entries may be numbers or Duals. A real array
+    ``quad`` of shape ``(B, dim, dim)`` is a batch of B quadratic parts that
+    share ``lin`` and ``const``: each entry of ``quad`` is then the array of
+    its B values, and the engine fills one array per batch entry.
     """
 
-    __slots__ = ("dim", "quad", "lin", "const")
+    __slots__ = ("dim", "quad", "lin", "const", "batch")
 
     def __init__(self, dim: int, quad=None, lin=None, const=0.0):
         if dim <= 0:
             raise ConstructionError("dimension must be positive")
         self.dim = dim
+        self.batch, asym = (), ()
         if quad is None:
             quad = [[0.0] * dim for _ in range(dim)]
+        elif isinstance(quad, np.ndarray) and quad.ndim == 3:
+            if (quad.shape[1:] != (dim, dim) or quad.dtype.kind != "f"
+                    or not all(isinstance(c, numbers.Real) for c in ([] if lin is None else lin))):
+                raise ConstructionError(
+                    f"a batch of quadratic blocks must be real, of shape (B, {dim}, {dim}),"
+                    " with a real linear part")
+            self.batch = quad.shape[:1]
+            quad = np.moveaxis(quad, 0, -1)  # quad[i][j] holds the batch
+            asym = quad != quad.swapaxes(0, 1)
+            asym = [tuple(ij) for ij in np.argwhere(asym.any(-1)) if ij[0] < ij[1]
+                    ] if asym.any() else ()
         else:
             quad = [list(row) for row in quad]
             if len(quad) != dim or any(len(row) != dim for row in quad):
                 raise ConstructionError(
                     f"quadratic block must be {dim}x{dim}")
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    if quad[i][j] != quad[j][i]:
-                        raise ConstructionError(
-                            f"quadratic block not symmetric at ({i},{j})")
+            asym = [(i, j) for i in range(dim) for j in range(i + 1, dim)
+                    if quad[i][j] != quad[j][i]]
+        if asym:
+            raise ConstructionError(
+                "quadratic block not symmetric at ({},{})".format(*asym[0]))
         if lin is None:
             lin = [0.0] * dim
         else:
@@ -74,26 +90,31 @@ class GeneratingExponent:
         ``variables`` (default: all, in order) restricts the exponent to the
         sub-vector of those variables; exponent tuples then index it.
         Iteration order is deterministic: quadratic entries row-major with
-        i <= j (off-diagonal coefficients doubled), then linear entries.
+        i <= j (off-diagonal coefficients doubled), then linear entries. For
+        a batch, a coefficient is the array of its B values, skipped when
+        all of them are zero.
         """
         var = tuple(range(self.dim) if variables is None else variables)
         n = len(var)
+        nonzero = self.quad.any(axis=-1).tolist() if self.batch else self.quad
         for a, i in enumerate(var):
             for b in range(a, n):
-                c = self.quad[i][var[b]]
-                if not c:
+                if not nonzero[i][var[b]]:
                     continue
+                c = self.quad[i][var[b]]
                 if a != b:
                     c = c + c
-                expo = tuple(
-                    (2 if k == a == b else 1 if k in (a, b) else 0)
-                    for k in range(n))
-                yield expo, c
+                expo = [0] * n
+                expo[a] += 1
+                expo[b] += 1
+                yield tuple(expo), c
         for a, i in enumerate(var):
             c = self.lin[i]
             if not c:
                 continue
-            yield tuple(1 if k == a else 0 for k in range(n)), c
+            expo = [0] * n
+            expo[a] = 1
+            yield tuple(expo), c
 
     def value_at(self, point: Sequence[complex]) -> complex:
         """Numeric value of exp(exponent) at a numeric point (numeric entries only)."""
@@ -131,6 +152,10 @@ def coefficient_array(exponent: GeneratingExponent,
     applied. The result is a complex array of shape ``(w, k_1+1, ...,
     k_n+1)`` whose leading axis is a jet: ``w = 2`` (value, derivative) when
     any quadratic or linear entry is a :class:`Dual`, otherwise ``w = 1``.
+    A batch of B exponents, which is real, gives a real array of shape
+    ``(1, B, k_1+1, ..., k_n+1)``; each batch entry holds the bits of the
+    real part that the exponent alone gives, as the batch axis only ever
+    broadcasts.
 
     The exponent is a finite sum of commuting monomials c_m u^m, so the
     exponential is the product of exp(c_m u^m) = sum_j c_m^j/j! u^(j m).
@@ -148,17 +173,27 @@ def _coefficients(exponent: GeneratingExponent,
     orders = tuple(spec.orders)
     if len(orders) != exponent.dim:
         raise ConstructionError("derivative orders do not match exponent dimension")
-    entries = [c for row in exponent.quad for c in row] + exponent.lin
-    jet = any(isinstance(c, Dual) for c in entries)
+    batch = exponent.batch
+    jet = any(isinstance(c, Dual) for c in exponent.lin) or not batch and any(
+        isinstance(c, Dual) for row in exponent.quad for c in row)
+    if jet and batch:
+        raise ConstructionError("a batch of exponents cannot carry Dual entries")
     # Variables with order 0 are set to zero: every monomial touching one
     # would be skipped below anyway, so the array is built over the rest.
     active = [i for i, k in enumerate(orders) if k]
     sub = tuple(orders[i] for i in active)
     shape = tuple(k + 1 for k in sub)
-    arr = np.zeros((2 if jet else 1,) + shape, dtype=np.complex128)
-    arr[(0,) * arr.ndim] = 1.0
+    # A batch is real, and so is every product below: its arrays are filled
+    # in real arithmetic. These are the real parts of the complex arithmetic
+    # of a single exponent, whose imaginary parts are zeros that never reach
+    # the real parts, so each batch entry gets the bits it gets alone.
+    arr = np.zeros((2 if jet else 1,) + batch + shape,
+                   dtype=float if batch else np.complex128)
+    arr[(0,) + (slice(None),) * len(batch) + (0,) * len(shape)] = 1.0
+    whole = [Ellipsis] + [slice(None)] * len(shape)  # variable k at k + 1
     for expo, coeff in exponent.monomials(active):
-        jmax = min(c // e for e, c in zip(expo, sub) if e)
+        moved = [(k, e) for k, e in enumerate(expo) if e]
+        jmax = min(sub[k] // e for k, e in moved)
         if jmax == 0:
             continue
         if jet:
@@ -167,20 +202,30 @@ def _coefficients(exponent: GeneratingExponent,
             else:
                 cv, cd = complex(coeff), 0.0
             fv, fd = 1.0, 0.0
+        elif batch:
+            cv, fv = coeff, 1.0
         else:
             cv, fv = complex(coeff), 1.0 + 0j
-        out = arr.copy()
+        # Every term is read from the array as it was before this factor;
+        # then the terms are added in order of j.
+        terms = []
         for j in range(1, jmax + 1):
-            src = tuple(slice(0, s - j * e) for s, e in zip(shape, expo))
-            dst = tuple(slice(j * e, None) for e in expo)
+            src, dst = whole.copy(), whole.copy()
+            for k, e in moved:
+                src[k + 1] = slice(0, shape[k] - j * e)
+                dst[k + 1] = slice(j * e, None)
+            src, dst = tuple(src), tuple(dst)
             if jet:
                 fv, fd = fv * cv / j, (fd * cv + fv * cd) / j
-                out[1][dst] += fv * arr[1][src] + fd * arr[0][src]
+                terms.append((1, dst, fv * arr[1][src] + fd * arr[0][src]))
             else:
                 fv = fv * cv / j
-            out[0][dst] += fv * arr[0][src]
-        arr = out
-    return arr.reshape(arr.shape[:1] + tuple(k + 1 for k in orders))
+            f = fv.reshape(batch + (1,) * len(shape)) if batch else fv
+            terms.append((0, dst, f * arr[0][src]))
+        for w, dst, term in terms:
+            target = arr[w][dst]
+            target += term
+    return arr.reshape(arr.shape[:1] + batch + tuple(k + 1 for k in orders))
 
 
 def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec):
@@ -190,6 +235,8 @@ def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec):
     lin . u)``, read from the corner of :func:`coefficient_array`. Returns a
     :class:`Dual` when any entry of the exponent is one, else a complex.
     """
+    if exponent.batch:
+        raise ConstructionError("mixed_partial_at_zero takes one exponent, not a batch")
     corner = _coefficients(exponent, spec)[(slice(None),) + tuple(spec.orders)]
     if len(corner) == 2:
         coeff = Dual(complex(corner[0]), complex(corner[1]))

@@ -1,9 +1,10 @@
 """Parameter sweeps, table emission, config parsing, and figure presets.
 
-A sweep walks the cartesian grid lambda x tau x phi in that order (lambda
-outermost), evaluates one quantity per point, and collects records in grid
-order. Degenerate or stationary points are recorded with a status instead of
-aborting the sweep.
+A sweep covers the cartesian grid lambda x tau x phi and collects records in
+grid order (lambda outermost, phi fastest). Each lambda-row is evaluated in
+chunks of tau values, one heralding array per chunk, with at most
+``_CHUNK_ENTRIES`` array entries per chunk. Degenerate or stationary points
+are recorded with a status instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -190,50 +191,50 @@ class SweepRecord:
     status: str
 
 
-def _evaluate(quantity: str, lam: float, spec: NGOperationSpec, phi: float,
-              point) -> float:
-    if quantity == "probability":
-        return analytics.success_probability(lam, spec)
-    if quantity == "qfi":
-        return analytics.qfi(lam, spec)
-    if quantity == "qcrb":
-        return analytics.qcrb(lam, spec)
-    if quantity == "parity":
-        return analytics.parity_expectation(lam, spec, phi)
-    if quantity == "sensitivity":
-        return analytics.phase_sensitivity(lam, spec, phi)
-    if quantity == "merit":
-        return analytics.merit(lam, spec, phi)
-    if quantity == "weighted_merit":
-        return analytics.weighted_merit(lam, spec, phi)
-    if quantity == "wigner":
-        return analytics.wigner(lam, spec, point)
-    raise UsageError(f"quantity: unknown {quantity!r}")  # pragma: no cover
+# A chunk holds at most this many heralding-array entries, summed over its
+# points: one sym-pc-2 state (3^8 entries) per chunk, a whole asym-pa-1 row
+# (4 entries per point) in one.
+_CHUNK_ENTRIES = 8192
 
 
 def run_sweep(request: SweepRequest) -> list:
     """Evaluate the grid; records come back in grid order (lambda outermost,
-    then tau, then phi)."""
-    grid = []
+    then tau, then phi).
+
+    Each lambda-row is evaluated in chunks of consecutive tau values: the
+    points of a row share their photon numbers, so a chunk is one engine
+    call with a batch axis (see :func:`ngtmsv.analytics.evaluate_chunk`).
+    Every point gets the value and status it gets on its own, and an error
+    that is not a status is raised from the first point in grid order that
+    raises it.
+    """
+    specs = ([request.spec_for(tau) for tau in request.tau_axis.values]
+             if request.lam_axis.values else [])
+    entries = math.prod(k + 1 for k in specs[0].derivative_spec().orders) if specs else 1
+    size = max(1, _CHUNK_ENTRIES // entries)
+    records = []
     for lam in request.lam_axis.values:
-        for tau in request.tau_axis.values:
-            spec = request.spec_for(tau)
-            for phi in request.phi_axis.values:
-                grid.append((lam, spec, phi))
+        for start in range(0, len(specs), size):
+            chunk = specs[start:start + size]
+            outcomes = analytics.evaluate_chunk(
+                request.quantity, lam, chunk, request.phi_axis.values, request.point)
+            points = ((spec, phi) for spec in chunk for phi in request.phi_axis.values)
+            for (spec, phi), out in zip(points, outcomes):
+                records.append(_record(lam, spec, phi, out))
+    return records
 
-    def run_point(item):
-        lam, spec, phi = item
-        try:
-            value = _evaluate(request.quantity, lam, spec, phi, request.point)
-            status = "ok"
-        except (DegenerateOperationError, DegenerateStateError):
-            value, status = None, "degenerate"
-        except StationaryPointError:
-            value, status = None, "stationary"
-        return SweepRecord(lam=lam, tau1=spec.tau1, tau2=spec.tau2, phi=phi,
-                           value=value, status=status)
 
-    return [run_point(item) for item in grid]
+def _record(lam: float, spec: NGOperationSpec, phi: float, outcome) -> SweepRecord:
+    if isinstance(outcome, (DegenerateOperationError, DegenerateStateError)):
+        value, status = None, "degenerate"
+    elif isinstance(outcome, StationaryPointError):
+        value, status = None, "stationary"
+    elif isinstance(outcome, Exception):
+        raise outcome
+    else:
+        value, status = outcome, "ok"
+    return SweepRecord(lam=lam, tau1=spec.tau1, tau2=spec.tau2, phi=phi,
+                       value=value, status=status)
 
 
 def to_csv(records) -> str:

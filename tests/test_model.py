@@ -118,6 +118,41 @@ class TestDeriveParams:
         with pytest.raises(ParameterError):
             derive_params(-0.1, tmsv_spec())
 
+    @pytest.mark.parametrize("lam", ["0.5", 0.5 + 0j, None, np.array(0.4),
+                                     float("nan"), 1.0, -0.1])
+    def test_bad_lambda_raises_parameter_error(self, lam):
+        with pytest.raises(ParameterError) as one:
+            derive_params(lam, tmsv_spec())
+        # a batch checks lambda with the same message
+        spec = NGOperationSpec(0, 0, 0, 1, 1.0, 0.5)
+        with pytest.raises(ParameterError) as batch:
+            derive_params(lam, (spec, spec))
+        assert str(batch.value) == str(one.value)
+
+    def test_batch_matches_single_evaluations(self):
+        specs = [NGOperationSpec(0, 1, 1, 1, t1, t2)
+                 for t1, t2 in ((0.3, 0.9), (1.0, 0.25), (0.64, 1.0))]
+        for lam in (0.0, 0.6, 0.97):
+            batch = derive_params(lam, specs)
+            for b, spec in enumerate(specs):
+                one = derive_params(lam, spec)
+                assert batch.at(b) == one
+                for form in (phase_space_form, wigner_coupling, wigner_aux_form):
+                    assert np.array_equal(form(batch)[b], form(one)), form
+
+    def test_batch_checks_taus_in_order(self):
+        # the first bad tau raises what the spec's own check raises
+        good = NGOperationSpec(0, 0, 0, 1, 1.0, 0.5)
+        bad1, bad2 = (NGOperationSpec(0, 0, 0, 1, 1.0, 0.5) for _ in range(2))
+        object.__setattr__(bad1, "tau1", 0.0)  # bypasses the spec's own check
+        object.__setattr__(bad2, "tau2", 1.5)
+        with pytest.raises(ParameterError, match="tau2 must lie in"):
+            derive_params(0.5, (good, bad2, bad1))
+        with pytest.raises(ParameterError, match="tau1 must lie in"):
+            derive_params(0.5, (good, bad1, bad2))
+        with pytest.raises(ParameterError, match="lambda must lie in"):
+            derive_params(1.0, (bad1, bad2))
+
     def test_hyperbolic_identity(self):
         p = derive_params(0.37, tmsv_spec())
         assert p.cosh_r ** 2 - p.sinh_r ** 2 == pytest.approx(1.0)
