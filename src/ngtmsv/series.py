@@ -65,7 +65,7 @@ class GeneratingExponent:
             asym = [tuple(ij) for ij in np.argwhere(asym.any(-1)) if ij[0] < ij[1]
                     ] if asym.any() else ()
         else:
-            quad = [list(row) for row in quad]
+            quad = quad.tolist() if isinstance(quad, np.ndarray) else [list(row) for row in quad]
             if len(quad) != dim or any(len(row) != dim for row in quad):
                 raise ConstructionError(
                     f"quadratic block must be {dim}x{dim}")
