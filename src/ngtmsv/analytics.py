@@ -786,7 +786,9 @@ def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
     if quantity not in _STATE_QUANTITIES + _PHASE_QUANTITIES:
         raise ParameterError(f"unknown quantity {quantity!r}")
     xi = _as_point(point) if quantity == "wigner" else None
-    lam, phis = _as_lambda(lam), [_as_phase(phi) for phi in phis]
+    lam = _as_lambda(lam)
+    if quantity in _PHASE_QUANTITIES:
+        phis = [_as_phase(phi) for phi in phis]
     batch = _herald(lam, tuple(specs))
     if quantity in _STATE_QUANTITIES:
         outcomes = [_state_outcome(quantity, batch, b, xi) for b in range(len(specs))]
