@@ -6,9 +6,10 @@ partial derivatives of Gaussian generating functions (see
 :mod:`ngtmsv.series`). One engine call fills the heralding coefficient
 arrays of a batch of states that share their photon numbers; the
 probability, the Wigner kernel, the moments, the QFI, and the parity
-signal with its phase slope are all read from them. The per-point
-functions evaluate a batch of one; :func:`evaluate_chunk` evaluates a
-sweep's chunk of tau values at once, with the same bits per point.
+signal with its phase slope are all read from them. A batch of one is a
+batch: the per-point functions run the same array code, with the same
+shapes, as :func:`evaluate_chunk`, which evaluates a sweep's chunk of tau
+values at once, with the same bits per point.
 Outputs that must be real are checked for imaginary residues before the
 imaginary part is discarded; quantities that
 normalize by the heralding probability raise
@@ -39,6 +40,7 @@ from .errors import (
 from .model import (
     ModelParams,
     NGOperationSpec,
+    _PROB_SIGNS,
     _parity_norm,
     derive_params,
     moment_coupling,
@@ -61,12 +63,6 @@ _SLOPE_FLOOR = 1e-14
 _PARITY_SLACK = 1e-9
 _TOP_WINDOW = 2.0 ** -30  # |cos phi| within which the slope is read from the curvature
 _DEFAULT_MOMENT_CAP = 4
-
-# probability_form(p) == D wigner_aux_form(p) D entry for entry, with
-# D = diag(_PROB_SIGNS). So [u^j] exp(u^T Q_prob u) is the Wigner aux array
-# times prod_i D_i^j_i, exactly: only signs differ.
-_PROB_SIGNS = (1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0)
-
 
 def _real(value, what: str) -> float:
     """Discard an imaginary residue after checking it is negligible."""
@@ -173,7 +169,8 @@ def _scaled(spec: NGOperationSpec, arr: np.ndarray) -> np.ndarray:
 class _Batch:
     """Heralded states that share their photon numbers, evaluated at once.
 
-    ``params`` holds the batch's parameters (scalars for a batch of one).
+    ``params`` holds the batch's parameters, whose tau-dependent fields
+    have the batch axis.
     ``aux`` is the read-only engine array [u^j] exp(u^T Q_aux u), j <= k,
     of :func:`wigner_aux_form` with a leading batch axis; ``core`` is the
     heralding derivative of the probability form and ``prob`` the success
@@ -207,11 +204,10 @@ class _Batch:
         shape = self.aux.shape[1:]
         first = [i for i in range(4) if shape[i] > 1]
         last = [i for i in range(4, 8) if shape[i] > 1]
-        batch = len(self.aux)
-        coupling = wigner_coupling(self.params).reshape(batch, 8, 4)[:, first + last]
-        s = phase_space_form(self.params).reshape(batch, 4, 4)
+        coupling = wigner_coupling(self.params)[:, first + last]
+        s = phase_space_form(self.params)
         matrix = np.ascontiguousarray(_scaled(self.specs[0], self.aux).reshape(
-            batch, math.prod(shape[:4]), -1))
+            len(self.aux), math.prod(shape[:4]), -1))
         return ([shape[i] - 1 for i in first], [shape[i] - 1 for i in last],
                 coupling, matrix, (s[:, [0, 1], [0, 1]], s[:, [0, 1], [2, 3]]),
                 _plane_rule((sum(shape) - 8) // 2 + 1))
@@ -221,11 +217,9 @@ def _herald(lam: float, specs: tuple) -> _Batch:
     """Evaluate heralded states that share their photon numbers, in one
     engine call: the only place the heralding core is computed, so every
     normalized quantity divides by the same number."""
-    # A batch of one has scalar parameters, whose forms get the batch axis.
-    params = derive_params(lam, specs if len(specs) > 1 else specs[0])
+    params = derive_params(lam, specs)
     dspec = specs[0].derivative_spec()
-    aux = coefficient_array(GeneratingExponent(
-        8, wigner_aux_form(params).reshape(len(specs), 8, 8)), dspec)[0]
+    aux = coefficient_array(GeneratingExponent(8, wigner_aux_form(params)), dspec)[0]
     aux.flags.writeable = False
     # The corner's probability sign is (-1)^(k2+k4+k5+k7) = (-1)^photons.
     corner = aux[(slice(None),) + dspec.orders]
@@ -416,11 +410,10 @@ def _moment_tables(state: _State, order: int):
     multi-index missing from the rows or columns has A_g = 0 or B_d = 0.
     """
     h = coefficient_array(
-        GeneratingExponent(4, moment_source_form(state.params)),
-        DerivativeSpec((order,) * 4))[0]
+        GeneratingExponent(4, moment_source_form(state.params)[None]),
+        DerivativeSpec((order,) * 4))[0, 0]
     shape = state.coeffs.shape
-    coupling = (np.array(moment_coupling(state.params))
-                * np.array(_PROB_SIGNS)[:, None])
+    coupling = moment_coupling(state.params) * _PROB_SIGNS[:, None]
     rows, first = _power_products(coupling[:4], shape[:4], order)
     cols, last = _power_products(coupling[4:], shape[4:], order)
     # Elementwise products and numpy sums only: a BLAS product's last bits
@@ -776,12 +769,13 @@ _PHASE_QUANTITIES = ("parity", "sensitivity", "merit", "weighted_merit")
 def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
     """One quantity at every point (lam, spec, phi), spec outermost, from
     one heralding array for all of ``specs``, which must share their photon
-    numbers. ``quantity`` is a sweep quantity name; ``point`` is the Wigner
-    point. Returns per point the value that the per-point function
-    (``success_probability``, ``qfi``, ``qcrb``, ``parity_expectation``,
-    ``phase_sensitivity``, ``merit``, ``weighted_merit`` or ``wigner``)
-    returns there, bit for bit, or the :class:`~ngtmsv.errors.NGError` it
-    raises. Invalid arguments raise at once.
+    numbers (m1, m2, n1, n2). ``quantity`` is a sweep quantity name;
+    ``point`` is the Wigner point. Returns per point the value that the
+    per-point function (``success_probability``, ``qfi``, ``qcrb``,
+    ``parity_expectation``, ``phase_sensitivity``, ``merit``,
+    ``weighted_merit`` or ``wigner``) returns there, bit for bit, or the
+    :class:`~ngtmsv.errors.NGError` it raises. Invalid arguments raise at
+    once; no specs give no points.
     """
     if quantity not in _STATE_QUANTITIES + _PHASE_QUANTITIES:
         raise ParameterError(f"unknown quantity {quantity!r}")
@@ -789,7 +783,12 @@ def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
     lam = _as_lambda(lam)
     if quantity in _PHASE_QUANTITIES:
         phis = [_as_phase(phi) for phi in phis]
-    batch = _herald(lam, tuple(specs))
+    specs = tuple(specs)
+    if len({(s.m1, s.m2, s.n1, s.n2) for s in specs}) > 1:
+        raise ParameterError("a chunk's specs must share their photon numbers (m1, m2, n1, n2)")
+    if not specs:
+        return []
+    batch = _herald(lam, specs)
     if quantity in _STATE_QUANTITIES:
         outcomes = [_state_outcome(quantity, batch, b, xi) for b in range(len(specs))]
         return [out for out in outcomes for _ in phis]

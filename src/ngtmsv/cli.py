@@ -102,14 +102,7 @@ def _build_request(args: argparse.Namespace, quantity: str) -> SweepRequest:
         point = _parse_tuple(args.point, "point", 4, float, "numbers")
     kwargs = dict(quantity=quantity, preset=preset, photons=photons,
                   lam_axis=lam_axis, phi_axis=phi_axis, point=point)
-    if tau_kind == "pair":
-        if photons is None:
-            raise UsageError("tau: presets take a scalar or axis tau, not a "
-                             "pair; use --photons for explicit per-mode "
-                             "transmissivities")
-        kwargs["tau_pair"] = tau_value
-    else:
-        kwargs["tau_axis"] = tau_value
+    kwargs["tau_pair" if tau_kind == "pair" else "tau_axis"] = tau_value
     return SweepRequest(**kwargs)
 
 
@@ -131,10 +124,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     request = _build_request(args, quantity)
     lam = _scalar(request.lam_axis, "lambda")
     phi = _scalar(request.phi_axis, "phi")
-    if request.tau_pair is not None:
-        spec = request.spec_for(request.tau_pair[0])
-    else:
-        spec = request.spec_for(_scalar(request.tau_axis, "tau"))
+    spec = request.spec_for(_scalar(request.tau_axis, "tau"))  # a tau pair overrides it
     report = analytics.sensitivity_report(lam, spec, phi)
     rows = [
         ("operation", (request.preset or "custom") + ": " + _describe_spec(spec)),

@@ -119,22 +119,6 @@ def d_cos(x):
     return _cos(x)
 
 
-def _sqrt(x):
-    if isinstance(x, (int, float)) and x >= 0:
-        return math.sqrt(x)
-    return cmath.sqrt(x)
-
-
-def d_sqrt(x):
-    """sqrt for plain numbers or Dual (value must be nonzero for the derivative)."""
-    if isinstance(x, Dual):
-        root = _sqrt(x.value)
-        if root == 0:
-            raise ZeroDivisionError("dual sqrt at zero has no finite derivative")
-        return Dual(root, x.deriv / (2 * root))
-    return _sqrt(x)
-
-
 def d_exp(x):
     """exp for plain numbers or Dual."""
     if isinstance(x, Dual):

@@ -7,7 +7,8 @@ subtracts photons, ``m > n`` adds, ``m = n`` catalyzes. Every downstream
 quantity is a mixed partial derivative, at zero, of a Gaussian generating
 function ``exp(u^T Q u + ...)`` in eight formal variables (two per beam
 splitter port pair, primed and unprimed); this module builds those quadratic
-forms.
+forms. The heralding-probability form is derived from the Wigner auxiliary
+form as D Q_aux D, with D a diagonal of signs.
 
 Variable ordering conventions used throughout:
 
@@ -164,31 +165,29 @@ def _check_lambda(lam) -> None:
 def derive_params(lam, spec) -> ModelParams:
     """Validate the squeezing parameter and derive the shared scalars.
 
-    ``spec`` is one :class:`NGOperationSpec`, or a sequence of them for a
-    batch at one ``lam``; then the fields that depend on tau are arrays over
-    the batch. lam is checked first, then tau1 and tau2 of each spec in
-    batch order, and the first bad value raises the :class:`ParameterError`
-    a single evaluation raises.
+    ``spec`` is a sequence of :class:`NGOperationSpec` at one ``lam``, a
+    batch: the fields that depend on tau are arrays over it. lam is checked
+    first, then tau1 and tau2 of each spec in batch order, and the first bad
+    value raises. A single spec gives entry 0 of a batch of one, whose
+    tau-dependent fields are Python floats.
     """
-    _check_lambda(lam)
     if isinstance(spec, NGOperationSpec):
-        tau1, tau2, sqrt = spec.tau1, spec.tau2, math.sqrt
-    else:
-        specs = tuple(spec)
-        tau1 = np.array([s.tau1 for s in specs], dtype=float)
-        tau2 = np.array([s.tau2 for s in specs], dtype=float)
-        if not ((0.0 < tau1) & (tau1 <= 1.0) & (0.0 < tau2) & (tau2 <= 1.0)).all():
-            for s in specs:
-                _check_tau("tau1", s.tau1)
-                _check_tau("tau2", s.tau2)
-        sqrt = np.sqrt
+        return derive_params(lam, (spec,)).at(0)
+    _check_lambda(lam)
+    specs = tuple(spec)
+    tau1 = np.array([s.tau1 for s in specs], dtype=float)
+    tau2 = np.array([s.tau2 for s in specs], dtype=float)
+    if not ((0.0 < tau1) & (tau1 <= 1.0) & (0.0 < tau2) & (tau2 <= 1.0)).all():
+        for s in specs:
+            _check_tau("tau1", s.tau1)
+            _check_tau("tau2", s.tau2)
     r = math.atanh(lam)
     sc = 1.0 / math.sqrt(1.0 - lam * lam)
     sh = lam * sc
     base = 1.0 + sh * sh * (1.0 - tau1 * tau2)
     return ModelParams(lam=lam, tau1=tau1, tau2=tau2, r=r,
-                       sinh_r=sh, cosh_r=sc, t1=sqrt(tau1), t2=sqrt(tau2),
-                       refl1=sqrt(1.0 - tau1), refl2=sqrt(1.0 - tau2),
+                       sinh_r=sh, cosh_r=sc, t1=np.sqrt(tau1), t2=np.sqrt(tau2),
+                       refl1=np.sqrt(1.0 - tau1), refl2=np.sqrt(1.0 - tau2),
                        base_norm=base)
 
 
@@ -212,13 +211,6 @@ def _symmetric(p: ModelParams, size: int, scale, entries: dict) -> np.ndarray:
     return mat
 
 
-def _check_symmetric(mat, name):
-    asym = mat != np.swapaxes(mat, -1, -2)
-    if asym.any():
-        i, j = np.argwhere(np.triu(asym.reshape((-1,) + mat.shape[-2:]).any(0)))[0]
-        raise ConstructionError(f"{name} not symmetric at ({i},{j})")
-
-
 def phase_space_form(p: ModelParams):
     """4x4 quadratic form in xi for the Gaussian envelope of the Wigner function."""
     a, b = p.sinh_r, p.cosh_r
@@ -226,10 +218,8 @@ def phase_space_form(p: ModelParams):
     dg = a * a * (tt * tt + 1.0) + 1.0
     od = 2.0 * a * b * tt
     s = -1.0 / p.base_norm
-    mat = _symmetric(p, 4, s, {(0, 0): dg, (1, 1): dg, (2, 2): dg, (3, 3): dg,
-                               (0, 2): -od, (1, 3): od})
-    _check_symmetric(mat, "phase-space form")
-    return mat
+    return _symmetric(p, 4, s, {(0, 0): dg, (1, 1): dg, (2, 2): dg, (3, 3): dg,
+                                (0, 2): -od, (1, 3): od})
 
 
 def wigner_coupling(p: ModelParams):
@@ -263,22 +253,20 @@ def wigner_coupling(p: ModelParams):
     return parts.view(np.complex128).reshape(x.shape[:-1] + (8, 4))
 
 
-def _herald_quad(p: ModelParams, sign: float):
-    """Shared 8x8 pattern behind the Wigner auxiliary form (sign=-1) and the
-    heralding-probability form (sign=+1); they differ only in the signs of
-    the beamsplitter-reflection blocks."""
+def wigner_aux_form(p: ModelParams):
+    """8x8 quadratic form in u inside the Wigner generating function."""
     a, b = p.sinh_r, p.cosh_r
     t1, t2, r1, r2 = p.t1, p.t2, p.refl1, p.refl2
     s = -1.0 / (4.0 * p.base_norm)
-    bb1 = sign * b * b * r1 * r1
-    bb2 = sign * b * b * r2 * r2
+    bb1 = -b * b * r1 * r1
+    bb2 = -b * b * r2 * r2
     x12 = -a * b * r1 * r2 * t1 * t2
     c1 = a * a * r2 * r2 * t1 + t1
     c2 = a * a * r1 * r1 * t2 + t2
-    y1 = sign * a * b * r1 * r2 * t1
-    y2 = sign * a * b * r1 * r2 * t2
-    z1 = sign * a * a * r1 * r1 * t2 * t2
-    z2 = sign * a * a * r2 * r2 * t1 * t1
+    y1 = -a * b * r1 * r2 * t1
+    y2 = -a * b * r1 * r2 * t2
+    z1 = -a * a * r1 * r1 * t2 * t2
+    z2 = -a * a * r2 * r2 * t1 * t1
     w = -a * b * r1 * r2
     return _symmetric(p, 8, s, {
         (0, 1): bb1, (0, 2): x12, (0, 5): c1, (0, 6): y1,
@@ -287,15 +275,18 @@ def _herald_quad(p: ModelParams, sign: float):
         (4, 5): z1, (4, 6): w, (5, 7): w, (6, 7): z2})
 
 
-def wigner_aux_form(p: ModelParams):
-    """8x8 quadratic form in u inside the Wigner generating function."""
-    return _herald_quad(p, -1.0)
+# The heralding-probability form is the Wigner auxiliary form with the
+# beamsplitter-reflection blocks negated: Q_prob = D Q_aux D with
+# D = diag(_PROB_SIGNS), exactly, as the signs only flip. So
+# [u^j] exp(u^T Q_prob u) is the Wigner aux array times prod_i D_i^j_i.
+_PROB_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
 
 
 def probability_form(p: ModelParams):
     """8x8 quadratic form in u whose heralding derivative gives the success
-    probability (after the 1/base_norm factor)."""
-    return _herald_quad(p, +1.0)
+    probability (after the 1/base_norm factor): D Q_aux D, where Q_aux is
+    :func:`wigner_aux_form`."""
+    return _PROB_SIGNS[:, None] * wigner_aux_form(p) * _PROB_SIGNS
 
 
 # The moment blocks are the Wigner blocks up to signs and powers of two, both

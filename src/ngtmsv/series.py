@@ -139,10 +139,6 @@ class DerivativeSpec:
         if any((not isinstance(k, int)) or k < 0 for k in self.orders):
             raise ConstructionError("derivative orders must be non-negative integers")
 
-    @property
-    def total(self) -> int:
-        return sum(self.orders)
-
 
 def coefficient_array(exponent: GeneratingExponent,
                       spec: DerivativeSpec) -> np.ndarray:
@@ -163,13 +159,6 @@ def coefficient_array(exponent: GeneratingExponent,
     for each j; entries shifted past the orders are dropped, which is exact
     because all exponents are non-negative.
     """
-    return _coefficients(exponent, spec)
-
-
-# The engine proper. mixed_partial_at_zero calls it directly, so a layer
-# trace of this module counts one engine call per extraction.
-def _coefficients(exponent: GeneratingExponent,
-                  spec: DerivativeSpec) -> np.ndarray:
     orders = tuple(spec.orders)
     if len(orders) != exponent.dim:
         raise ConstructionError("derivative orders do not match exponent dimension")
@@ -237,7 +226,7 @@ def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec):
     """
     if exponent.batch:
         raise ConstructionError("mixed_partial_at_zero takes one exponent, not a batch")
-    corner = _coefficients(exponent, spec)[(slice(None),) + tuple(spec.orders)]
+    corner = coefficient_array(exponent, spec)[(slice(None),) + tuple(spec.orders)]
     if len(corner) == 2:
         coeff = Dual(complex(corner[0]), complex(corner[1]))
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -135,12 +136,15 @@ class SweepRequest:
             parse_preset(self.preset)
         if self.photons is not None:
             ph = self.photons
-            if len(ph) != 4 or any((not isinstance(v, int)) or v < 0 for v in ph):
+            if len(ph) != 4 or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
+                                   for v in ph):
                 raise UsageError(
                     "photons: expected four non-negative integers m1,m2,n1,n2")
         for lam in self.lam_axis.values:
             if not (0.0 <= lam < 1.0):
                 raise UsageError(f"lambda: must lie in [0, 1), got {lam}")
+        if self.tau_pair is not None and not _reals(self.tau_pair, 2):
+            raise UsageError(f"tau: expected a pair of real numbers t1,t2, got {self.tau_pair!r}")
         taus = (self.tau_pair if self.tau_pair is not None
                 else self.tau_axis.values)
         for tau in taus:
@@ -152,27 +156,33 @@ class SweepRequest:
         if self.quantity == "wigner":
             if self.point is None:
                 raise UsageError("wigner sweeps need --point q1,p1,q2,p2")
-            if len(self.point) != 4 or not all(math.isfinite(v) for v in self.point):
+            if not (_reals(self.point, 4) and all(map(math.isfinite, self.point))):
                 raise UsageError("point: expected four finite numbers q1,p1,q2,p2")
         elif self.point is not None:
             raise UsageError(f"point: only meaningful for wigner, not {self.quantity}")
 
     def spec_for(self, tau: float) -> NGOperationSpec:
-        """The operation evaluated at one tau grid value."""
-        if self.tau_pair is not None:
-            t1, t2 = self.tau_pair
-        else:
-            t1 = t2 = tau
+        """The operation evaluated at one tau grid value. A ``tau_pair``
+        replaces it, and only a ``photons`` request takes one."""
         if self.photons is not None:
             m1, m2, n1, n2 = self.photons
+            t1, t2 = self.tau_pair if self.tau_pair is not None else (tau, tau)
             return NGOperationSpec(m1, m2, n1, n2, t1, t2)
-        kind, n = parse_preset(self.preset)
-        if kind is None:
-            return tmsv_spec()
         if self.tau_pair is not None:
             raise UsageError("tau: presets take a scalar or axis tau, not a pair; "
                              "use --photons for explicit per-mode transmissivities")
+        kind, n = parse_preset(self.preset)
+        if kind is None:
+            return tmsv_spec()
         return operation_from_table(kind, n, tau)
+
+
+def _reals(values, count: int) -> bool:
+    """Whether ``values`` is a sequence of ``count`` real numbers."""
+    try:
+        return len(values) == count and all(isinstance(v, numbers.Real) for v in values)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)

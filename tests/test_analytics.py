@@ -871,12 +871,12 @@ class TestStateCache:
     def test_probe_runs_heralding_engine_once(self, monkeypatch):
         # a state queried for its kernel, Wigner values, every moment of
         # order <= 2 and the QFI: one 8-variable array and one 4-variable
-        # moment-source array, and no other engine run
+        # moment-source array, both batches of one, and no other engine run
         calls = []
         real = analytics.coefficient_array
 
         def counting(exponent, spec):
-            calls.append(exponent.dim)
+            calls.append((exponent.dim, exponent.batch))
             return real(exponent, spec)
 
         def forbidden(*args):
@@ -896,12 +896,12 @@ class TestStateCache:
             if sum(idx) <= 2:
                 moment(lam, spec, idx)
         qfi(lam, spec)
-        assert calls == [8, 4]
+        assert calls == [(8, (1,)), (4, (1,))]
 
     def test_sweep_queries_run_heralding_engine_once(self, monkeypatch):
         # merit, weighted merit and delta_phi read the parity signal and its
         # slope from the state's array; the report adds only the QFI's
-        # moment-source array
+        # moment-source array; both are batches of one
         lam, phi = 0.45, 0.3
         spec = operation_from_table("sym-pc", 1, 0.35)
         _tmsv_reference(lam, phi)  # the reference is its own state
@@ -909,7 +909,7 @@ class TestStateCache:
         real = analytics.coefficient_array
 
         def counting(exponent, spec):
-            calls.append(exponent.dim)
+            calls.append((exponent.dim, exponent.batch))
             return real(exponent, spec)
 
         def forbidden(*args):
@@ -921,9 +921,9 @@ class TestStateCache:
         merit(lam, spec, phi)
         weighted_merit(lam, spec, phi)
         phase_sensitivity(lam, spec, phi)
-        assert calls == [8]
+        assert calls == [(8, (1,))]
         sensitivity_report(lam, spec, phi)
-        assert calls == [8, 4]
+        assert calls == [(8, (1,)), (4, (1,))]
 
 
 _ASYM_PA = operation_from_table("asym-pa", 1, 0.6)
@@ -1049,6 +1049,19 @@ class TestBatchedSweep:
         with pytest.raises(ConsistencyError) as got:
             run_sweep(request)
         assert str(got.value) == str(want.value)
+
+    def test_chunk_specs_must_share_photon_numbers(self):
+        # one heralding derivative serves a chunk: specs with other photon
+        # numbers would silently get the first spec's
+        mixed = [operation_from_table("asym-ps", 1, 0.6),
+                 operation_from_table("asym-pa", 2, 0.6)]
+        for quantity in ("probability", "merit"):
+            with pytest.raises(ParameterError, match="photon numbers"):
+                analytics.evaluate_chunk(quantity, 0.5, mixed, [0.1])
+            assert analytics.evaluate_chunk(quantity, 0.5, [], [0.1]) == []
+        same = [NGOperationSpec(0, 1, 0, 0, 1.0, 0.6), operation_from_table("asym-pa", 1, 0.9)]
+        got = analytics.evaluate_chunk("weighted_merit", 0.5, same, [0.1])
+        assert got == [weighted_merit(0.5, spec, 0.1) for spec in same]
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
         # a 101-point asym-pa-1 row (4 entries per point) is one chunk, and

@@ -133,6 +133,18 @@ class TestSweepRequest:
         assert (spec.tau1, spec.tau2) == (0.6, 0.8)
         assert (spec.m1, spec.m2, spec.n1, spec.n2) == (1, 2, 1, 2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau_pair", (0.5,)), ("tau_pair", ("0.5", "0.6")), ("tau_pair", 0.5),
+        ("point", ("a", 0, 0, 0)), ("point", (0.0, 0.0, 0.0)),
+        ("photons", (True, 0, 0, 0)), ("photons", (0, 0, 1, False)),
+    ])
+    def test_malformed_fields_are_usage_errors(self, field, value):
+        kw = dict(quantity="wigner" if field == "point" else "probability",
+                  lam_axis=Axis.scalar(0.5), photons=(1, 2, 1, 2))
+        kw[field] = value
+        with pytest.raises(UsageError, match=field.split("_")[0]):
+            SweepRequest(**kw)
+
     def test_tau_pair_rejected_for_presets(self):
         req = SweepRequest(quantity="probability", lam_axis=Axis.scalar(0.5),
                            preset="sym-ps-1", tau_pair=(0.6, 0.8))
