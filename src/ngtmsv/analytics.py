@@ -61,11 +61,6 @@ _RESIDUE_TOL = 1e-10
 _PROB_FLOOR = 1e-300
 _SLOPE_FLOOR = 1e-14
 _PARITY_SLACK = 1e-9
-# The heralding core is lost to rounding when 2^-53 times the same
-# derivative of the form with absolute entries exceeds _LOSS_TOL times it;
-# that bound is only computed for states below _LOSS_GATE (see _lost).
-_LOSS_TOL = 1e-10
-_LOSS_GATE = 1e-4
 _TOP_WINDOW = 2.0 ** -30  # |cos phi| within which the slope is read from the curvature
 _DEFAULT_MOMENT_CAP = 4
 
@@ -179,8 +174,7 @@ class _Batch:
     ``aux`` is the read-only engine array [u^j] exp(u^T Q_aux u), j <= k,
     of :func:`wigner_aux_form` with a leading batch axis; ``core`` is the
     heralding derivative of the probability form and ``prob`` the success
-    probability, per state; ``lost`` marks the states whose core is lost to
-    rounding (see :func:`_lost`). ``faults`` holds, per state, the error its
+    probability, per state. ``faults`` holds, per state, the error its
     evaluation raises (or None); such a state's other entries are not read.
     """
 
@@ -189,7 +183,6 @@ class _Batch:
     aux: np.ndarray
     core: np.ndarray
     prob: np.ndarray
-    lost: np.ndarray
     faults: tuple
 
     def state(self, index: int) -> _State:
@@ -198,8 +191,7 @@ class _Batch:
             raise self.faults[index]
         return _State(batch=self, index=index, params=self.params.at(index),
                       spec=self.specs[index], aux=self.aux[index],
-                      core=float(self.core[index]), prob=float(self.prob[index]),
-                      lost=bool(self.lost[index]))
+                      core=float(self.core[index]), prob=float(self.prob[index]))
 
     @functools.cached_property
     def parity_terms(self) -> tuple:
@@ -227,8 +219,7 @@ def _herald(lam: float, specs: tuple) -> _Batch:
     normalized quantity divides by the same number."""
     params = derive_params(lam, specs)
     dspec = specs[0].derivative_spec()
-    quad = wigner_aux_form(params)
-    aux = coefficient_array(GeneratingExponent(8, quad), dspec)[0]
+    aux = coefficient_array(GeneratingExponent(8, wigner_aux_form(params)), dspec)[0]
     aux.flags.writeable = False
     # The corner's probability sign is (-1)^(k2+k4+k5+k7) = (-1)^photons.
     corner = aux[(slice(None),) + dspec.orders]
@@ -243,32 +234,7 @@ def _herald(lam: float, specs: tuple) -> _Batch:
     _fail(faults, p > 1.0 + _RESIDUE_TOL,
           lambda b: ConsistencyError(f"heralding probability {p[b]} exceeds 1"))
     return _Batch(params=params, specs=specs, aux=aux, core=core,
-                  prob=np.where(1.0 < p, 1.0, p), lost=_lost(quad, dspec, corner, p),
-                  faults=tuple(faults))
-
-
-def _lost(quad: np.ndarray, dspec, corner: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per state, whether its heralding core ``corner`` is lost to rounding.
-
-    The core sums terms of both signs that can cancel far below their size:
-    where the heralded state's leading component vanishes, as one photon
-    catalysed through a 50:50 splitter does, their sum is a few / lambda^2
-    times the core at small lambda (8e8 at lambda = 1e-4 for
-    NGOperationSpec(0, 1, 1, 1, 0.5, 0.5)). The same derivative of
-    exp(u^T |Q| u) bounds that sum, so double rounding moves the core by
-    about 2^-53 times it. The bound is a second engine run, made only for states with
-    0 < p < _LOSS_GATE: over random operations of up to 3 photons per port
-    at lambda <= 0.97, the bound scaled as the core is to p stayed below 3,
-    so above the gate the bound is below 3e4 times the core, far from
-    _LOSS_TOL * 2^53 = 9e5. Each state's verdict reads only its own entries.
-    """
-    lost = np.zeros(len(p), dtype=bool)
-    check = (0.0 < p) & (p < _LOSS_GATE)
-    if check.any():
-        bound = coefficient_array(GeneratingExponent(8, np.abs(quad[check])), dspec)[0]
-        lost[check] = (2.0 ** -53 * bound[(slice(None),) + dspec.orders]
-                       > _LOSS_TOL * np.abs(corner[check]))
-    return lost
+                  prob=np.where(1.0 < p, 1.0, p), faults=tuple(faults))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +252,6 @@ class _State:
     aux: np.ndarray
     core: float
     prob: float
-    lost: bool
     moments: dict = field(default_factory=dict)  # order -> _moment_tables
 
     @functools.cached_property
@@ -301,8 +266,8 @@ class _State:
     @functools.cached_property
     def kernel(self) -> WignerKernel:
         params = self.params
-        _check_floor(self, "normalized Wigner")
         prob = self.core / params.base_norm  # unclamped: the kernel integrates to 1
+        _check_floor(prob, "normalized Wigner")
         scale = 1.0 / (params.base_norm * math.pi ** 2 * prob)
         return WignerKernel(coeffs=self.coeffs, coupling=wigner_coupling(params),
                             quad=tuple(map(tuple, phase_space_form(params).tolist())),
@@ -318,21 +283,13 @@ def _heralding(lam: float, spec: NGOperationSpec) -> _State:
     return _herald(lam, (spec,)).state(0)
 
 
-def _check_floor(state: _State, what: str) -> None:
-    """Raise for a state whose probability underflows or whose heralding
-    core is lost to rounding: no normalized quantity is defined there."""
-    if state.prob < _PROB_FLOOR:
+def _check_floor(prob: float, what: str) -> None:
+    if prob < _PROB_FLOOR:
         raise DegenerateOperationError(_floor_message(what))
-    if state.lost:
-        raise DegenerateOperationError(_lost_message(what))
 
 
 def _floor_message(what: str) -> str:
     return f"heralding probability underflows; {what} undefined"
-
-
-def _lost_message(what: str) -> str:
-    return f"heralding probability is lost to rounding; {what} undefined"
 
 
 def success_probability(lam: float, spec: NGOperationSpec) -> float:
@@ -404,7 +361,7 @@ def moment(lam: float, spec: NGOperationSpec, idx,
         raise ParameterError(
             f"moment total order {sum(idx)} exceeds cap {max_total}")
     state = _heralding(_as_lambda(lam), spec)
-    _check_floor(state, "moments")
+    _check_floor(state.prob, "moments")
     return _moment(state, idx)
 
 
@@ -504,7 +461,7 @@ def _power_products(vecs: np.ndarray, shape: tuple, order: int):
 def j2_second_moment(lam: float, spec: NGOperationSpec) -> float:
     """<J2^2> of the heralded state (J2 generates the interferometer phase)."""
     state = _heralding(_as_lambda(lam), spec)
-    _check_floor(state, "moments")
+    _check_floor(state.prob, "moments")
     return _j2(state)
 
 
@@ -575,8 +532,6 @@ def _parity(batch: _Batch, phi) -> tuple:
     faults = list(batch.faults)
     _fail(faults, den / params.base_norm < _PROB_FLOOR,
           lambda b: DegenerateOperationError(_floor_message("parity signal")))
-    _fail(faults, batch.lost,
-          lambda b: DegenerateOperationError(_lost_message("parity signal")))
     at = phi.value if isinstance(phi, Dual) else phi
     top = (isinstance(phi, Dual) and batch.specs[0].total_photons % 2 == 0
            and abs(math.cos(at)) <= _TOP_WINDOW)
@@ -849,7 +804,7 @@ def _state_outcome(quantity: str, batch: _Batch, index: int, xi):
             return state.prob
         if quantity == "wigner":
             return state.kernel(xi)
-        _check_floor(state, "moments")
+        _check_floor(state.prob, "moments")
         fisher = _qfi(_j2(state))
         return fisher if quantity == "qfi" else 1.0 / math.sqrt(fisher)
     except NGError as err:

@@ -190,8 +190,7 @@ class SweepRecord:
     """One grid point: the operation's actual (tau1, tau2) and the outcome.
 
     ``status`` is 'ok' (value present), 'degenerate' (heralding probability
-    underflow or lost to rounding, or no phase information), or 'stationary'
-    (parity slope zero).
+    underflow or no phase information), or 'stationary' (parity slope zero).
     """
 
     lam: float
