@@ -178,9 +178,10 @@ class SweepRequest:
 
 
 def _reals(values, count: int) -> bool:
-    """Whether ``values`` is a sequence of ``count`` real numbers."""
+    """Whether ``values`` is a sequence of ``count`` real numbers (not bools)."""
     try:
-        return len(values) == count and all(isinstance(v, numbers.Real) for v in values)
+        return len(values) == count and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
     except TypeError:
         return False
 

@@ -135,7 +135,8 @@ class TestSweepRequest:
 
     @pytest.mark.parametrize("field, value", [
         ("tau_pair", (0.5,)), ("tau_pair", ("0.5", "0.6")), ("tau_pair", 0.5),
-        ("point", ("a", 0, 0, 0)), ("point", (0.0, 0.0, 0.0)),
+        ("tau_pair", (True, 0.5)), ("point", ("a", 0, 0, 0)),
+        ("point", (0.0, False, 0.0, 0.0)), ("point", (0.0, 0.0, 0.0)),
         ("photons", (True, 0, 0, 0)), ("photons", (0, 0, 1, False)),
     ])
     def test_malformed_fields_are_usage_errors(self, field, value):
