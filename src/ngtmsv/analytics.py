@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +40,7 @@ from .model import (
     ModelParams,
     NGOperationSpec,
     _PROB_SIGNS,
+    _is_real,
     _parity_norm,
     derive_params,
     moment_coupling,
@@ -102,7 +102,7 @@ def _as_point(point) -> tuple:
                              f"not {type(point).__name__}") from None
     if len(vals) != 4:
         raise ParameterError("phase-space point needs 4 coordinates (q1, p1, q2, p2)")
-    if not all(isinstance(v, numbers.Real) for v in vals):
+    if not all(map(_is_real, vals)):
         raise ParameterError(f"phase-space coordinates must be real numbers, got {vals!r}")
     vals = tuple(float(v) for v in vals)
     if not all(math.isfinite(v) for v in vals):
@@ -113,14 +113,14 @@ def _as_point(point) -> tuple:
 def _as_lambda(lam):
     """``lam`` once it is checked to be a real number: public entry points
     check it before it becomes a cache key."""
-    if not isinstance(lam, numbers.Real):
+    if not _is_real(lam):
         raise ParameterError(f"lambda must be a real number, got {lam!r}")
     return lam
 
 
 def _as_phase(phi):
     """``phi`` once it is checked to be a finite real number."""
-    if not (isinstance(phi, numbers.Real) and math.isfinite(phi)):
+    if not (_is_real(phi) and math.isfinite(phi)):
         raise ParameterError(f"phi must be a finite real number, got {phi!r}")
     return phi
 
@@ -355,7 +355,7 @@ def moment(lam: float, spec: NGOperationSpec, idx,
     exactly 1.0: its numerator is the same arithmetic as the core.
     """
     idx = tuple(idx)
-    if len(idx) != 4 or any((not isinstance(k, int)) or k < 0 for k in idx):
+    if len(idx) != 4 or any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in idx):
         raise ParameterError("moment index must be four non-negative integers")
     if sum(idx) > max_total:
         raise ParameterError(

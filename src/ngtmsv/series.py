@@ -4,7 +4,8 @@ The analytic layer reduces every physical quantity to mixed partial
 derivatives, evaluated at zero, of ``exp(u^T Q u + L.u + c)`` in up to twelve
 formal variables. This module provides:
 
-* :class:`GeneratingExponent` — the quadratic-plus-linear exponent data.
+* :class:`GeneratingExponent` — the quadratic-plus-linear exponent data, in
+  the array the form builders return and in the caller's variable numbering.
 * :func:`coefficient_array` — every Taylor coefficient [u^j] of
   ``exp(u^T Q u + L.u)`` up to the requested orders, as one dense complex
   array; entries that are :class:`~ngtmsv.dual.Dual` add a derivative row.
@@ -15,9 +16,8 @@ Truncation soundness: all exponents are non-negative, so a product term at
 an exponent within the orders can only arise from factor terms bounded by
 it componentwise. Dropping everything beyond the orders never changes the
 kept coefficients. In particular a variable of order 0 only ever appears at
-power 0 in a kept coefficient, so the engine sets it to zero: monomials that
-touch it are dropped, the array is built over the remaining variables, and
-size-1 axes are restored at the end.
+power 0 in a kept coefficient: its axis has size 1, and every monomial that
+touches it is skipped.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from .errors import ConstructionError
 class GeneratingExponent:
     """Exponent data ``u^T quad u + lin . u + const`` over ``dim`` variables.
 
-    ``quad`` must be symmetric (checked exactly on construction); ``lin`` is a
-    length-``dim`` sequence; entries may be numbers or Duals. A real array
-    ``quad`` of shape ``(B, dim, dim)`` is a batch of B quadratic parts that
-    share ``lin`` and ``const``: each entry of ``quad`` is then the array of
-    its B values, and the engine fills one array per batch entry.
+    ``quad`` is kept as ``np.asarray(quad)`` and must be symmetric (checked
+    exactly on construction); ``lin`` is a length-``dim`` sequence; entries
+    may be numbers or Duals, which make ``quad`` an object array. A real
+    array ``quad`` of shape ``(B, dim, dim)`` is a batch of B quadratic parts
+    that share a real ``lin`` and ``const``: ``quad[..., i, j]`` is then the
+    array of its B values, and the engine fills one array per batch entry.
     """
 
     __slots__ = ("dim", "quad", "lin", "const", "batch")
@@ -50,36 +51,27 @@ class GeneratingExponent:
         if dim <= 0:
             raise ConstructionError("dimension must be positive")
         self.dim = dim
-        self.batch, asym = (), ()
-        if quad is None:
-            quad = [[0.0] * dim for _ in range(dim)]
-        elif isinstance(quad, np.ndarray) and quad.ndim == 3:
-            if (quad.shape[1:] != (dim, dim) or quad.dtype.kind != "f"
-                    or not all(isinstance(c, numbers.Real) for c in ([] if lin is None else lin))):
-                raise ConstructionError(
-                    f"a batch of quadratic blocks must be real, of shape (B, {dim}, {dim}),"
-                    " with a real linear part")
-            self.batch = quad.shape[:1]
-            quad = np.moveaxis(quad, 0, -1)  # quad[i][j] holds the batch
-            asym = quad != quad.swapaxes(0, 1)
-            asym = [tuple(ij) for ij in np.argwhere(asym.any(-1)) if ij[0] < ij[1]
-                    ] if asym.any() else ()
-        else:
-            quad = quad.tolist() if isinstance(quad, np.ndarray) else [list(row) for row in quad]
-            if len(quad) != dim or any(len(row) != dim for row in quad):
-                raise ConstructionError(
-                    f"quadratic block must be {dim}x{dim}")
-            asym = [(i, j) for i in range(dim) for j in range(i + 1, dim)
-                    if quad[i][j] != quad[j][i]]
-        if asym:
+        batched = isinstance(quad, np.ndarray) and quad.ndim == 3
+        try:
+            quad = np.zeros((dim, dim)) if quad is None else np.asarray(quad)
+        except ValueError:  # a ragged nesting
+            quad = np.empty(0)
+        lin = [0.0] * dim if lin is None else list(lin)
+        if batched and (quad.shape[1:] != (dim, dim) or quad.dtype.kind != "f"
+                        or not all(isinstance(c, numbers.Real) for c in lin)):
             raise ConstructionError(
-                "quadratic block not symmetric at ({},{})".format(*asym[0]))
-        if lin is None:
-            lin = [0.0] * dim
-        else:
-            lin = list(lin)
-            if len(lin) != dim:
-                raise ConstructionError(f"linear part must have {dim} entries")
+                f"a batch of quadratic blocks must be real, of shape (B, {dim}, {dim}),"
+                " with a real linear part")
+        if not batched and quad.shape != (dim, dim):
+            raise ConstructionError(f"quadratic block must be {dim}x{dim}")
+        asym = quad != quad.swapaxes(-1, -2)
+        if asym.any():
+            for i, j in np.argwhere(asym.reshape(-1, dim, dim).any(0)):
+                if i < j:
+                    raise ConstructionError(f"quadratic block not symmetric at ({i},{j})")
+        if len(lin) != dim:
+            raise ConstructionError(f"linear part must have {dim} entries")
+        self.batch = quad.shape[:-2]
         self.quad = quad
         self.lin = lin
         self.const = const
@@ -96,12 +88,12 @@ class GeneratingExponent:
         """
         var = tuple(range(self.dim) if variables is None else variables)
         n = len(var)
-        nonzero = self.quad.any(axis=-1).tolist() if self.batch else self.quad
+        nonzero = self.quad.reshape(-1, self.dim, self.dim).any(0)
         for a, i in enumerate(var):
             for b in range(a, n):
-                if not nonzero[i][var[b]]:
+                if not nonzero[i, var[b]]:
                     continue
-                c = self.quad[i][var[b]]
+                c = self.quad[..., i, var[b]][()]
                 if a != b:
                     c = c + c
                 expo = [0] * n
@@ -163,15 +155,9 @@ def coefficient_array(exponent: GeneratingExponent,
     if len(orders) != exponent.dim:
         raise ConstructionError("derivative orders do not match exponent dimension")
     batch = exponent.batch
-    jet = any(isinstance(c, Dual) for c in exponent.lin) or not batch and any(
-        isinstance(c, Dual) for row in exponent.quad for c in row)
-    if jet and batch:
-        raise ConstructionError("a batch of exponents cannot carry Dual entries")
-    # Variables with order 0 are set to zero: every monomial touching one
-    # would be skipped below anyway, so the array is built over the rest.
-    active = [i for i, k in enumerate(orders) if k]
-    sub = tuple(orders[i] for i in active)
-    shape = tuple(k + 1 for k in sub)
+    jet = any(isinstance(c, Dual) for c in exponent.lin) or exponent.quad.dtype == object and any(
+        isinstance(c, Dual) for c in exponent.quad.flat)
+    shape = tuple(k + 1 for k in orders)
     # A batch is real, and so is every product below: its arrays are filled
     # in real arithmetic. These are the real parts of the complex arithmetic
     # of a single exponent, whose imaginary parts are zeros that never reach
@@ -180,21 +166,14 @@ def coefficient_array(exponent: GeneratingExponent,
                    dtype=float if batch else np.complex128)
     arr[(0,) + (slice(None),) * len(batch) + (0,) * len(shape)] = 1.0
     whole = [Ellipsis] + [slice(None)] * len(shape)  # variable k at k + 1
-    for expo, coeff in exponent.monomials(active):
+    for expo, coeff in exponent.monomials():
         moved = [(k, e) for k, e in enumerate(expo) if e]
-        jmax = min(sub[k] // e for k, e in moved)
+        jmax = min(orders[k] // e for k, e in moved)
         if jmax == 0:
             continue
-        if jet:
-            if isinstance(coeff, Dual):
-                cv, cd = coeff.value, coeff.deriv
-            else:
-                cv, cd = complex(coeff), 0.0
-            fv, fd = 1.0, 0.0
-        elif batch:
-            cv, fv = coeff, 1.0
-        else:
-            cv, fv = complex(coeff), 1.0 + 0j
+        cv, cd = (coeff.value, coeff.deriv) if isinstance(coeff, Dual) else (
+            coeff if batch else complex(coeff), 0.0)
+        fv, fd = 1.0, 0.0
         # Every term is read from the array as it was before this factor;
         # then the terms are added in order of j.
         terms = []
@@ -209,12 +188,13 @@ def coefficient_array(exponent: GeneratingExponent,
                 terms.append((1, dst, fv * arr[1][src] + fd * arr[0][src]))
             else:
                 fv = fv * cv / j
-            f = fv.reshape(batch + (1,) * len(shape)) if batch else fv
+            # A linear coefficient is one number for the whole batch.
+            f = np.reshape(fv, (-1,) + (1,) * len(shape)) if batch else fv
             terms.append((0, dst, f * arr[0][src]))
         for w, dst, term in terms:
             target = arr[w][dst]
             target += term
-    return arr.reshape(arr.shape[:1] + batch + tuple(k + 1 for k in orders))
+    return arr
 
 
 def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +23,7 @@ from .errors import (
     StationaryPointError,
     UsageError,
 )
-from .model import NGOperationSpec, operation_from_table, tmsv_spec
+from .model import NGOperationSpec, _is_real, operation_from_table, tmsv_spec
 
 QUANTITIES = (
     "probability",
@@ -133,26 +132,28 @@ class SweepRequest:
         if (self.preset is None) == (self.photons is None):
             raise UsageError("exactly one of preset or photons must be given")
         if self.preset is not None:
+            if not isinstance(self.preset, str):
+                raise UsageError(f"preset: expected a name, got {self.preset!r}")
             parse_preset(self.preset)
         if self.photons is not None:
             ph = self.photons
-            if len(ph) != 4 or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
-                                   for v in ph):
+            if not isinstance(ph, (tuple, list)) or len(ph) != 4 or any(
+                    isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in ph):
                 raise UsageError(
                     "photons: expected four non-negative integers m1,m2,n1,n2")
         for lam in self.lam_axis.values:
-            if not (0.0 <= lam < 1.0):
-                raise UsageError(f"lambda: must lie in [0, 1), got {lam}")
+            if not (_is_real(lam) and 0.0 <= lam < 1.0):
+                raise UsageError(f"lambda: must lie in [0, 1), got {lam!r}")
         if self.tau_pair is not None and not _reals(self.tau_pair, 2):
             raise UsageError(f"tau: expected a pair of real numbers t1,t2, got {self.tau_pair!r}")
         taus = (self.tau_pair if self.tau_pair is not None
                 else self.tau_axis.values)
         for tau in taus:
-            if not (0.0 < tau <= 1.0):
-                raise UsageError(f"tau: must lie in (0, 1], got {tau}")
+            if not (_is_real(tau) and 0.0 < tau <= 1.0):
+                raise UsageError(f"tau: must lie in (0, 1], got {tau!r}")
         for phi in self.phi_axis.values:
-            if not math.isfinite(phi):
-                raise UsageError(f"phi: must be finite, got {phi}")
+            if not (_is_real(phi) and math.isfinite(phi)):
+                raise UsageError(f"phi: must be a finite real number, got {phi!r}")
         if self.quantity == "wigner":
             if self.point is None:
                 raise UsageError("wigner sweeps need --point q1,p1,q2,p2")
@@ -180,8 +181,7 @@ class SweepRequest:
 def _reals(values, count: int) -> bool:
     """Whether ``values`` is a sequence of ``count`` real numbers (not bools)."""
     try:
-        return len(values) == count and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+        return len(values) == count and all(map(_is_real, values))
     except TypeError:
         return False
 

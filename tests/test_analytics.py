@@ -254,6 +254,23 @@ class TestHeraldingArray:
                     signs = signs * (-1.0) ** np.arange(shape[axis]).reshape(shape)
                 assert np.array_equal(prob, aux * signs), (spec, lam)
 
+    def test_batch_of_one_holds_the_real_part_of_the_single_exponent(self):
+        # the engine's real arithmetic for a batch against its complex
+        # arithmetic for one exponent, bit for bit; the digest pins entries
+        # that no output reads, and real arithmetic does not depend on the CPU
+        digest = hashlib.sha256()
+        for spec in _SPECS:
+            dspec = spec.derivative_spec()
+            for lam in (0.0, 0.01, 0.5, 0.97):
+                form = wigner_aux_form(derive_params(lam, (spec,)))
+                batch = coefficient_array(GeneratingExponent(8, form), dspec)[0, 0]
+                alone = coefficient_array(GeneratingExponent(8, form[0]), dspec)[0]
+                assert batch.tobytes() == alone.real.tobytes(), (spec, lam)
+                assert not alone.imag.any(), (spec, lam)
+                digest.update(batch.tobytes())
+        assert digest.hexdigest() == (
+            "b742a0f34838a89b42484bf169a2034bcda8d7608f1253d705ee89e873f6dc61")
+
 
 class TestParitySignal:
     def test_bare_state_closed_form(self):
@@ -950,8 +967,18 @@ class TestParameterTypes:
         lambda: qfi(np.array(0.4), _ASYM_PA),
         lambda: NGOperationSpec(True, 0, 0, 0),
         lambda: operation_from_table("asym-ps", True, 0.5),
+        lambda: NGOperationSpec(0, 1, 0, 0, 1.0, True),
+        lambda: operation_from_table("asym-pa", 1, True),
+        lambda: success_probability(False, _ASYM_PA),
+        lambda: phase_sensitivity(0.5, _ASYM_PA, True),
+        lambda: wigner(0.5, _ASYM_PA, (True, 0, 0, 0)),
+        lambda: PhaseSpacePoint(True, 0.0, 0.0, 0.0),
+        lambda: moment(0.5, _ASYM_PA, (True, 0, 0, 1)),
+        lambda: operation_from_table(3, 1, 0.5),
     ], ids=["complex-lambda", "str-tau-table", "str-tau-spec", "str-phi-merit",
-            "none-phi", "array-lambda", "bool-photons-spec", "bool-photons-table"])
+            "none-phi", "array-lambda", "bool-photons-spec", "bool-photons-table",
+            "bool-tau-spec", "bool-tau-table", "bool-lambda", "bool-phi", "bool-point",
+            "bool-phase-space-point", "bool-moment-index", "int-kind"])
     def test_non_real_parameters_raise_parameter_error(self, call):
         with pytest.raises(ParameterError):
             call()

@@ -138,10 +138,14 @@ class TestSweepRequest:
         ("tau_pair", (True, 0.5)), ("point", ("a", 0, 0, 0)),
         ("point", (0.0, False, 0.0, 0.0)), ("point", (0.0, 0.0, 0.0)),
         ("photons", (True, 0, 0, 0)), ("photons", (0, 0, 1, False)),
+        ("lam_axis", Axis(("0.5",))), ("phi_axis", Axis(("a",))), ("photons", 3),
+        ("preset", 3), ("tau_axis", Axis((True,))),
     ])
     def test_malformed_fields_are_usage_errors(self, field, value):
+        # a preset replaces the photons, so that the preset check is reached
         kw = dict(quantity="wigner" if field == "point" else "probability",
-                  lam_axis=Axis.scalar(0.5), photons=(1, 2, 1, 2))
+                  lam_axis=Axis.scalar(0.5),
+                  photons=None if field == "preset" else (1, 2, 1, 2))
         kw[field] = value
         with pytest.raises(UsageError, match=field.split("_")[0]):
             SweepRequest(**kw)

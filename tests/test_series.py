@@ -93,6 +93,10 @@ class TestDual:
 # ---------------------------------------------------------------------------
 
 
+_BATCH_MESSAGE = ("a batch of quadratic blocks must be real, of shape (B, 2, 2),"
+                  " with a real linear part")
+
+
 class TestGeneratingExponent:
     def test_symmetry_enforced(self):
         with pytest.raises(ConstructionError):
@@ -119,6 +123,26 @@ class TestGeneratingExponent:
             GeneratingExponent(2, [[0.0, 0.0]])
         with pytest.raises(ConstructionError):
             GeneratingExponent(2, None, [1.0])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GeneratingExponent(2, [[0.0, 1.0], [1.0]]), "quadratic block must be 2x2"),
+        (lambda: GeneratingExponent(2, np.zeros((3, 2, 2), dtype=complex)), _BATCH_MESSAGE),
+        (lambda: GeneratingExponent(2, np.zeros((3, 2, 2)), [Dual(0.2, 1.0), 0.0]),
+         _BATCH_MESSAGE),
+        (lambda: GeneratingExponent(2, np.zeros((3, 3, 3))), _BATCH_MESSAGE),
+        (lambda: GeneratingExponent(3, np.array([np.eye(3), [[0.0, 0.0, 0.0],
+                                                             [0.0, 0.0, 0.5],
+                                                             [0.0, 0.25, 0.0]]])),
+         "quadratic block not symmetric at (1,2)"),
+        (lambda: mixed_partial_at_zero(GeneratingExponent(2, np.zeros((3, 2, 2))),
+                                       DerivativeSpec((1, 1))),
+         "mixed_partial_at_zero takes one exponent, not a batch"),
+    ], ids=["ragged", "complex-batch", "dual-lin-batch", "batch-shape", "asymmetric-batch",
+            "batch-extraction"])
+    def test_construction_errors(self, make, message):
+        with pytest.raises(ConstructionError) as err:
+            make()
+        assert str(err.value) == message
 
 
 class TestCoefficientArray:
@@ -215,6 +239,20 @@ class TestZeroOrderVariables:
         assert arr[0, 2, 0] == pytest.approx(0.4 + 0.5 ** 2 / 2.0)
         out = mixed_partial_at_zero(g, DerivativeSpec((2, 0)))
         assert isinstance(out, Dual) and out.deriv == 0
+
+    def test_batch_entries_hold_the_real_parts_of_single_exponents(self):
+        # a batch shares its linear part, and each entry holds the bits of
+        # the real part that its exponent run alone gives
+        quads = np.array([[[0.4, 0.1, 0.0], [0.1, -0.2, 0.3], [0.0, 0.3, 0.5]],
+                          [[0.0, -0.7, 0.2], [-0.7, 1.5, 0.0], [0.2, 0.0, -0.1]]])
+        lin = [0.5, 0.0, -0.25]
+        spec = DerivativeSpec((3, 0, 2))
+        batch = coefficient_array(GeneratingExponent(3, quads, lin), spec)
+        assert batch.shape == (1, 2, 4, 1, 3)
+        for b, quad in enumerate(quads):
+            alone = coefficient_array(GeneratingExponent(3, quad, lin), spec)
+            assert batch[0, b].tobytes() == alone[0].real.tobytes()
+            assert not alone.imag.any()
 
     def test_diagonal_square_needs_order_two(self):
         # u0^2 cannot reach order 1 in u0, so with orders (1, 1) only the
