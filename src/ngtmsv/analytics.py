@@ -3,10 +3,11 @@
 Every function takes the squeezing parameter ``lam`` and an
 :class:`~ngtmsv.model.NGOperationSpec` and reduces the quantity to mixed
 partial derivatives of Gaussian generating functions (see
-:mod:`ngtmsv.series`). One engine call fills the heralding coefficient
-arrays of a batch of states that share their photon numbers; the
-probability, the Wigner kernel, the moments, the QFI, and the parity
-signal with its phase slope are all read from them. A batch of one is a
+:mod:`ngtmsv.series`). One fill of the photon-pair heralding blocks
+(:func:`~ngtmsv.series.pair_blocks`) serves a batch of states that share
+their photon numbers; the probability, the Wigner kernel, the moments,
+the QFI, and the parity signal with its phase slope are all read from
+them. A batch of one is a
 batch: the per-point functions run the same array code, with the same
 shapes, as :func:`evaluate_chunk`, which evaluates a sweep's chunk of tau
 values at once, with the same bits per point.
@@ -53,8 +54,9 @@ from .model import (
 from .series import (
     DerivativeSpec,
     GeneratingExponent,
+    _levels,
     coefficient_array,
-    mixed_partial_at_zero,
+    pair_blocks,
 )
 
 _RESIDUE_TOL = 1e-10
@@ -125,12 +127,6 @@ def _as_phase(phi):
     return phi
 
 
-def _herald_core(params: ModelParams, spec: NGOperationSpec, quad) -> complex:
-    """The heralding derivative applied to exp(u^T quad u)."""
-    return mixed_partial_at_zero(GeneratingExponent(8, quad),
-                                 spec.derivative_spec())
-
-
 def _fail(faults: list, mask, error) -> None:
     """Record ``error(b)`` for every batch entry b in ``mask`` that has no
     fault yet: a point keeps the first error its evaluation raises."""
@@ -158,11 +154,30 @@ def _pick(values: np.ndarray, faults: list, index: int) -> float:
     return float(values[index])
 
 
-def _scaled(spec: NGOperationSpec, arr: np.ndarray) -> np.ndarray:
-    """``prefactor * prod(k_i!) * arr[..., k - j]``, indexed by j."""
+def _scale(spec: NGOperationSpec) -> float:
+    """``prefactor * prod(k_i!)`` of the heralding derivative."""
     dspec = spec.derivative_spec()
-    fact = math.prod(map(math.factorial, dspec.orders))
-    return dspec.prefactor * fact * arr[(Ellipsis,) + (slice(None, None, -1),) * 8]
+    return dspec.prefactor * math.prod(map(math.factorial, dspec.orders))
+
+
+# The squeezer and the beam splitters create and detect photons in pairs:
+# wigner_aux_form pairs the variables (u1, v2, u1', v2') only with
+# (v1, u2, v1', u2'), and each half has the orders (m1, m2, n1, n2).
+_PAIRED = (0, 3, 4, 7)
+_OTHERS = (1, 2, 5, 6)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_index(orders: tuple) -> tuple:
+    """Per degree s of the heralding blocks, the raveled positions k - j in
+    the dense array indexed by j of their rows (j = r over ``_PAIRED``) and
+    of their columns (j = c over ``_OTHERS``)."""
+    strides = np.cumprod((1,) + tuple(k + 1 for k in orders[:0:-1]))[::-1]
+    rows, cols = (
+        [(np.array([orders[v] for v in half]) - exps) @ strides[list(half)]
+         for exps, *_ in _levels(tuple(orders[v] for v in half))]
+        for half in (_PAIRED, _OTHERS))
+    return tuple(zip(rows, cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,16 +186,19 @@ class _Batch:
 
     ``params`` holds the batch's parameters, whose tau-dependent fields
     have the batch axis.
-    ``aux`` is the read-only engine array [u^j] exp(u^T Q_aux u), j <= k,
-    of :func:`wigner_aux_form` with a leading batch axis; ``core`` is the
-    heralding derivative of the probability form and ``prob`` the success
-    probability, per state. ``faults`` holds, per state, the error its
-    evaluation raises (or None); such a state's other entries are not read.
+    ``blocks`` are the read-only :func:`~ngtmsv.series.pair_blocks` of
+    :func:`wigner_aux_form` with a leading batch axis: [a^r b^c]
+    exp(u^T Q_aux u) for r, c <= (m1, m2, n1, n2) with |r| = |c| = s in
+    block s, where a is u over ``_PAIRED`` and b over ``_OTHERS``; every
+    other coefficient is zero. ``core`` is the heralding derivative of the
+    probability form and ``prob`` the success probability, per state.
+    ``faults`` holds, per state, the error its evaluation raises (or None);
+    such a state's other entries are not read.
     """
 
     params: ModelParams
     specs: tuple
-    aux: np.ndarray
+    blocks: list
     core: np.ndarray
     prob: np.ndarray
     faults: tuple
@@ -190,50 +208,43 @@ class _Batch:
         if self.faults[index] is not None:
             raise self.faults[index]
         return _State(batch=self, index=index, params=self.params.at(index),
-                      spec=self.specs[index], aux=self.aux[index],
-                      core=float(self.core[index]), prob=float(self.prob[index]))
+                      spec=self.specs[index], core=float(self.core[index]),
+                      prob=float(self.prob[index]))
 
     @functools.cached_property
     def parity_terms(self) -> tuple:
-        """What :func:`_parity_numerator` reads: the derivative orders of
-        each half of u (variables of order 0 dropped), the coupling rows of
-        the variables kept, ``coeffs`` as real (first half, last half)
-        matrices, the phase-space entries (S11, S22) and (S13, S24) and
-        the plane rule. ``coeffs`` is not built here, which lowers a sweep's
-        peak memory."""
-        shape = self.aux.shape[1:]
-        first = [i for i in range(4) if shape[i] > 1]
-        last = [i for i in range(4, 8) if shape[i] > 1]
-        coupling = wigner_coupling(self.params)[:, first + last]
+        """What :func:`_parity_numerator` reads: the coupling rows of u
+        over ``_PAIRED`` then ``_OTHERS``, the phase-space entries
+        (S11, S22) and (S13, S24) and the circle rule."""
         s = phase_space_form(self.params)
-        matrix = np.ascontiguousarray(_scaled(self.specs[0], self.aux).reshape(
-            len(self.aux), math.prod(shape[:4]), -1))
-        return ([shape[i] - 1 for i in first], [shape[i] - 1 for i in last],
-                coupling, matrix, (s[:, [0, 1], [0, 1]], s[:, [0, 1], [2, 3]]),
-                _plane_rule((sum(shape) - 8) // 2 + 1))
+        return (wigner_coupling(self.params)[:, _PAIRED + _OTHERS],
+                (s[:, [0, 1], [0, 1]], s[:, [0, 1], [2, 3]]),
+                _circle_rule(self.specs[0].total_photons + 1))
 
 
 def _herald(lam: float, specs: tuple) -> _Batch:
     """Evaluate heralded states that share their photon numbers, in one
-    engine call: the only place the heralding core is computed, so every
-    normalized quantity divides by the same number."""
+    fill of their heralding blocks: the only place the heralding core is
+    computed, so every normalized quantity divides by the same number."""
     params = derive_params(lam, specs)
-    dspec = specs[0].derivative_spec()
-    aux = coefficient_array(GeneratingExponent(8, wigner_aux_form(params)), dspec)[0]
-    aux.flags.writeable = False
-    # The corner's probability sign is (-1)^(k2+k4+k5+k7) = (-1)^photons.
-    corner = aux[(slice(None),) + dspec.orders]
+    orders = specs[0].derivative_spec().orders
+    blocks = pair_blocks(GeneratingExponent(8, wigner_aux_form(params)), _PAIRED, orders)
+    for block in blocks:
+        block.flags.writeable = False
+    # a and b have the same orders, so the top degree holds only the corner
+    # [u^k]. Its probability sign is (-1)^(k2+k4+k5+k7) = (-1)^photons.
+    corner = blocks[-1][:, 0, 0]
     if specs[0].total_photons % 2:
         corner = -corner
     faults = [None] * len(specs)
-    core = dspec.prefactor * math.prod(map(math.factorial, dspec.orders)) * corner
+    core = _scale(specs[0]) * corner
     _fail(faults, core < -_RESIDUE_TOL, lambda b: ConsistencyError(
         f"heralding probability core is negative ({core[b]:.3e})"))
     core = np.where(core > 0.0, core, 0.0)  # an impossible herald gives +0.0
     p = core / params.base_norm
     _fail(faults, p > 1.0 + _RESIDUE_TOL,
           lambda b: ConsistencyError(f"heralding probability {p[b]} exceeds 1"))
-    return _Batch(params=params, specs=specs, aux=aux, core=core,
+    return _Batch(params=params, specs=specs, blocks=blocks, core=core,
                   prob=np.where(1.0 < p, 1.0, p), faults=tuple(faults))
 
 
@@ -241,25 +252,29 @@ def _herald(lam: float, specs: tuple) -> _Batch:
 class _State:
     """State ``index`` of ``batch``, with scalar parameters.
 
-    The kernel and the moment contractions are derived from ``aux`` on
-    first use and kept.
+    The dense coefficients, the kernel and the moment contractions are
+    derived from the batch's blocks on first use and kept.
     """
 
     batch: _Batch
     index: int
     params: ModelParams
     spec: NGOperationSpec
-    aux: np.ndarray
     core: float
     prob: float
     moments: dict = field(default_factory=dict)  # order -> _moment_tables
 
     @functools.cached_property
     def coeffs(self) -> np.ndarray:
-        """``prefactor * prod(k_i!) * aux[k - j]``, indexed by j, as a
-        complex array: the kernel and the moments multiply it with complex
-        factors, and a real array would be converted on every product."""
-        out = _scaled(self.spec, self.aux).astype(np.complex128)
+        """``prefactor * prod(k_i!) * [u^(k - j)] exp(u^T Q_aux u)``,
+        indexed by j, as a dense complex array: the kernel and the moments
+        multiply it with complex factors, and a real array would be
+        converted on every product."""
+        orders = self.spec.derivative_spec().orders
+        out = np.zeros(tuple(k + 1 for k in orders), dtype=np.complex128)
+        scale = _scale(self.spec)
+        for block, (rows, cols) in zip(self.batch.blocks, _dense_index(orders)):
+            out.reshape(-1)[rows[:, None] + cols] = scale * block[self.index]
         out.flags.writeable = False
         return out
 
@@ -564,23 +579,27 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     whose numerator is undefined get a fault.
 
     Let num_W(xi) be the Wigner kernel's numerator and C the Wigner
-    coupling. Substituting eta = L sqrt(2) x, L = diag(1/sqrt(-2 A_ii)),
-    the plane integral of num_W(N eta) exp(eta^T A eta) is
-    pi / sqrt(det(-A)) times num, the Gauss-Hermite sum of num_W over the
-    nodes x with weights normalized to 1; at a node, num_W's linear term is
-    l = C N L sqrt(2) x. exp(u^T Q u) has no terms of odd degree and |k| is
-    even, so num_W(N eta) is an even polynomial of total degree <= |k|, and
-    the rule of :func:`_plane_rule` makes the sum exact. At a node,
-    num_W = a K b^T: a (b) holds prod_i l_i^j_i / j_i! over the first (last)
-    half of u and K is the state's ``coeffs`` matrix. b is built per node,
-    K b^T is contracted with ``np.einsum``, and a is contracted with it one
-    variable at a time. Every factor is a truncated Taylor series in phi,
-    held on the axis after the batch axis, and products are Cauchy
-    products. The batch axis leads every array and is never summed over,
-    so each state's sums run in the order they run for a batch of one.
+    coupling. Substituting eta = L z, L = diag(1/sqrt(-2 A_ii)), the plane
+    integral of num_W(N eta) exp(eta^T A eta) is pi / sqrt(det(-A)) times
+    num, the mean of num_W(N L z) over a standard normal z in the plane;
+    num_W's linear term is l = C N L z. num_W = scale * sum_s A_s G_s B_s^T
+    over the blocks G_s of the batch: A_s holds P(alpha - r) for the rows
+    r of G_s, B_s holds P(beta - c) for its columns c, and
+    P(t) = prod_i l_i^t_i / t_i! over the variables of a (or of b). The
+    term of block s is a homogeneous polynomial of degree 2d in z, with
+    d = |alpha| - s = |beta| - s. Its mean is E|z|^(2d) = 2^d d! times its
+    mean over the directions z / |z|, which the directions of
+    :func:`_circle_rule` give exactly. P is built a degree at a time,
+    P(t) = P(t - e_b) l_b / t_b (see :func:`~ngtmsv.series._levels`), and
+    the block whose rows and columns need that degree is contracted before
+    the next one is built, on every direction at once.
+    G_s is real, so it is contracted with the real and imaginary parts of
+    B_s. Every factor is a truncated Taylor series in phi, held on the axis
+    after the batch axis, and products are Cauchy products. The batch axis
+    leads every array and is never summed over, so each state's sums run
+    in the order they run for a batch of one.
     """
-    first, last, coupling, matrix, (s_even, s_odd), (nodes, weights) = (
-        batch.parity_terms)
+    coupling, (s_even, s_odd), nodes = batch.parity_terms
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     diag = s_even + s_odd * sin_phi
     grows = ~(diag < 0.0).all(axis=1)
@@ -599,121 +618,69 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     rot = np.array([[c, 0.0], [0.0, c], [s, 0.0], [0.0, s]])
     rots = np.array([rot, 0.5 * np.array([[-s, 0.0], [0.0, -s], [c, 0.0], [0.0, c]]),
                      -0.125 * rot])
-    # the series of l = C N L x per node
+    # the series of l = C N L z per direction, as Cauchy-product matrices
     m = np.einsum("eab,xdeb->xdab", rots[:terms], _toeplitz(scales[:, :terms]))
     m = np.einsum("xva,xdab->xdvb", coupling, m)
-    ells = np.einsum("xdvb,bn->xdvn", m, nodes)
-    # powers[x, d, i, j] is the series of l_i^j / j! per node
-    n = len(weights)
-    powers = np.zeros((len(matrix), terms, coupling.shape[1],
-                       max(first + last, default=0) + 1, n), dtype=np.complex128)
-    powers[:, 0, :, 0] = 1.0
-    for j in range(1, powers.shape[3]):
-        powers[:, 0, :, j] = _cmul(powers[:, 0, :, j - 1], ells[:, 0]) / j
-    powers[:, 1:, :, 1:] = _cmul(powers[:, :1, :, :-1], ells[:, 1:, :, None])
-    if order == 2:
-        powers[:, 2, :, 2:] += _cmul(powers[:, 0, :, :-2],
-                                     0.5 * _cmul(ells[:, 1], ells[:, 1])[:, :, None])
-    split = len(first)
-    b = _products(powers[:, :, split:], last)
-    # K b^T: K is real, so it is contracted with the real and imaginary
-    # parts of b, a row per (order, node, part); the result's columns pair
-    # up into complex numbers. np.einsum without `optimize` calls no BLAS
-    # routine, whose last bits depend on the library build and the CPU.
-    b = b.transpose(0, 1, 3, 2)
-    parts = np.stack((b.real, b.imag), axis=3).reshape(len(b), -1, b.shape[3])
-    values = np.einsum("xij,xnj->xin", matrix, parts).view(np.complex128)
-    values = values.reshape(matrix.shape[:2] + (terms, n)).transpose(0, 2, 1, 3)
-    # contract a with K b^T one first-half variable at a time, the fastest first
-    for i in reversed(range(split)):
-        k = first[i]
-        values = np.einsum("xeijn,xdejn->xdin",
-                           values.reshape(len(b), terms, -1, k + 1, n),
-                           _toeplitz(powers[:, :, i, :k + 1]))
-    return (values[:, :, 0] * weights).sum(axis=-1)
+    ells = _toeplitz(np.einsum("xdvb,bn->xvdn", m, nodes))
+    orders = batch.specs[0].derivative_spec().orders
+    levels = _levels(tuple(orders[v] for v in _PAIRED))  # those of _OTHERS too
+    a = b = np.zeros((len(ells), 1, terms, nodes.shape[1]), dtype=np.complex128)
+    a[:, :, 0] = 1.0  # P at degree 0 is 1, on both sides
+    num = 0.0
+    # Complex products go through np.einsum without `optimize`: its loops
+    # are built once for numpy's baseline instruction set and round the same
+    # on every CPU, where a BLAS routine and numpy's complex multiply ufunc
+    # pick kernels per CPU, and the latter fuses its products (FMA).
+    for d, block in enumerate(reversed(batch.blocks)):
+        if d:
+            _, parent, axis, power = levels[d]
+            a = np.einsum("xtden,xten->xtdn", ells[:, axis], a[:, parent])
+            a /= power[:, None, None]
+            b = np.einsum("xtden,xten->xtdn", ells[:, axis + 4], b[:, parent])
+            b /= power[:, None, None]
+        # P at degree d, in lexicographic order, meets the rows and columns
+        # of block |alpha| - d in reverse order, as t = alpha - r reverses it
+        values = np.einsum("xrc,xcm->xrm", block[:, ::-1, ::-1],
+                           b.view(np.float64).reshape(b.shape[:2] + (-1,)))
+        num = num + 2.0 ** d * math.factorial(d) * np.einsum(
+            "xrden,xren->xdn", _toeplitz(a), values.view(np.complex128).reshape(a.shape))
+    return _scale(batch.specs[0]) / nodes.shape[1] * num.sum(axis=-1)
+
+
+def _quadrature_size(spec: NGOperationSpec) -> int:
+    """How many products P(t) :func:`_parity_numerator` holds per state
+    and series term at its widest degree: the most exponents t <= (m1, m2,
+    n1, n2) of one degree times the directions of the circle rule."""
+    orders = spec.derivative_spec().orders
+    widest = max(len(exps) for exps, *_ in _levels(tuple(orders[v] for v in _PAIRED)))
+    return widest * (spec.total_photons + 1)
 
 
 def _toeplitz(series: np.ndarray) -> np.ndarray:
-    """t[x, d, e] = series[x, d - e] for e <= d, and 0 above. Summing e
-    against another truncated Taylor series (the axis after the batch
+    """t[..., d, e, :] = series[..., d - e, :] for e <= d, and 0 above.
+    Summing e against another truncated Taylor series (on the second last
     axis) gives their Cauchy product."""
-    terms = series.shape[1]
-    out = np.zeros(series.shape[:1] + (terms,) + series.shape[1:], dtype=series.dtype)
+    terms = series.shape[-2]
+    out = np.zeros(series.shape[:-1] + (terms,) + series.shape[-1:], dtype=series.dtype)
     for e in range(terms):
-        out[:, e:, e] = series[:, :terms - e]
+        out[..., e:, e, :] = series[..., :terms - e, :]
     return out
 
 
-def _products(powers: np.ndarray, orders: list) -> np.ndarray:
-    """Per batch entry and node (last axis), the series (second axis) of
-    prod_i powers[:, :, i, j_i] for every j <= orders, raveled with the last
-    variable fastest."""
-    batch, terms, n = len(powers), powers.shape[1], powers.shape[-1]
-    rows = np.zeros((batch, terms, 1, n), dtype=np.complex128)
-    rows[:, 0] = 1.0
-    for i, k in enumerate(orders):
-        rows = np.einsum("xepn,xdejn->xdpjn", rows, _toeplitz(powers[:, :, i, :k + 1]))
-        rows = rows.reshape(batch, terms, -1, n)
-    return rows
-
-
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y for complex arrays, broadcast. numpy's complex multiply ufunc is
-    dispatched per CPU and fuses its products (FMA) where the CPU can, so
-    its last bits depend on the machine; np.einsum's loops are compiled
-    once for numpy's baseline instruction set and round the same on every
-    CPU."""
-    return np.einsum("...,...->...", x, y)
-
-
 @functools.lru_cache(maxsize=None)
-def _plane_rule(n: int) -> tuple:
-    """The n x n Gauss-Hermite rule for exp(-x^2 - y^2), folded for even
-    integrands: node coordinates times sqrt(2) as a (2, ceil(n^2/2)) array,
-    and weights that sum to 1.
+def _circle_rule(n: int) -> np.ndarray:
+    """The n directions (cos theta, sin theta), theta = pi k / n for k < n,
+    as a read-only (2, n) array.
 
-    The roots of the n-th Hermite polynomial come from Newton's method on
-    the orthonormal three-term recurrence, from the classic initial guesses
-    (Numerical Recipes, gauher); the weights are 2 / psi_n'(x)^2. This needs
-    no LAPACK call, whose first use costs about 0.75 MB of resident memory.
-    The rule is centrally symmetric: node q of the n^2, with the second
-    coordinate running fastest, mirrors node n^2 - 1 - q and has the same
-    weight. An even integrand takes the same value at both, so the first of
-    each pair is kept with twice the weight, and the centre node (odd n)
-    once.
+    On a direction, a homogeneous polynomial of even degree 2d < 2n in the
+    plane is an even trigonometric polynomial of degree 2d in theta, with
+    period pi. The mean of such a polynomial over n equally spaced angles of
+    one period is its mean over the circle, exactly.
     """
-    x, w = [0.0] * n, [0.0] * n
-    z = 0.0
-    for i in range((n + 1) // 2):
-        if i == 0:
-            z = math.sqrt(2 * n + 1) - 1.85575 * (2 * n + 1) ** (-1 / 6)
-        elif i == 1:
-            z -= 1.14 * n ** 0.426 / z
-        elif i == 2:
-            z = 1.86 * z - 0.86 * x[0]
-        elif i == 3:
-            z = 1.91 * z - 0.91 * x[1]
-        else:
-            z = 2.0 * z - x[i - 2]
-        for _ in range(100):
-            p1, p2 = math.pi ** -0.25, 0.0  # psi_0, psi_-1
-            for j in range(1, n + 1):
-                p1, p2 = (z * math.sqrt(2.0 / j) * p1
-                          - math.sqrt((j - 1) / j) * p2), p1
-            slope = math.sqrt(2.0 * n) * p2
-            step = p1 / slope
-            z -= step
-            if abs(step) <= 3e-15 * max(1.0, abs(z)):
-                break
-        x[n - 1 - i], x[i] = -z, z
-        w[n - 1 - i] = w[i] = 2.0 / (slope * slope)
-    x, w = np.array(x), np.outer(w, w).ravel()
-    w = w / w.sum()
-    pairs, kept = n * n // 2, (n * n + 1) // 2
-    nodes = math.sqrt(2.0) * np.array([np.repeat(x, n), np.tile(x, n)])[:, :kept]
-    weights = np.concatenate((2.0 * w[:pairs], w[pairs:kept]))
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    angles = [math.pi * k / n for k in range(n)]
+    nodes = np.array([[math.cos(t) for t in angles], [math.sin(t) for t in angles]])
+    nodes.flags.writeable = False
+    return nodes
 
 
 def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:

@@ -11,6 +11,9 @@ formal variables. This module provides:
   array; entries that are :class:`~ngtmsv.dual.Dual` add a derivative row.
 * :func:`mixed_partial_at_zero` — the derivative functional: the corner
   entry of that array times the factorials, the prefactor and ``exp(c)``.
+* :func:`pair_blocks` — the coefficients of ``exp(2 a^T M b)``, a form that
+  pairs one set of variables only with the rest, grouped by degree: the
+  only ones that are not zero, for a batch at once.
 
 Truncation soundness: all exponents are non-negative, so a product term at
 an exponent within the orders can only arise from factor terms bounded by
@@ -23,6 +26,7 @@ touches it is skipped.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -110,6 +114,8 @@ class GeneratingExponent:
 
     def value_at(self, point: Sequence[complex]) -> complex:
         """Numeric value of exp(exponent) at a numeric point (numeric entries only)."""
+        if self.batch:
+            raise ConstructionError("value_at takes one exponent, not a batch")
         if len(point) != self.dim:
             raise ConstructionError("point dimension mismatch")
         total = self.const
@@ -217,10 +223,102 @@ def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _levels(orders: tuple) -> tuple:
+    """The exponents e <= ``orders``, grouped by degree |e|.
+
+    Per degree d: the (n_d, len(orders)) int array of its exponents in
+    lexicographic order; for d > 0 also, per exponent e, the index of its
+    parent e - e_b in degree d - 1, b, the last nonzero axis of e, and
+    e_b. So every exponent is reached once, from its parent, along axis b.
+    """
+    grid = np.indices([k + 1 for k in orders]).reshape(len(orders), -1).T
+    degree = grid.sum(axis=1)
+    out = [(grid[:1], None, None, None)]
+    for d in range(1, sum(orders) + 1):
+        exps = grid[degree == d]
+        axis = len(orders) - 1 - np.argmax(exps[:, ::-1] > 0, axis=1)
+        at = {e: n for n, e in enumerate(map(tuple, out[-1][0].tolist()))}
+        parents = exps.copy()
+        parents[np.arange(len(exps)), axis] -= 1
+        out.append((exps, np.array([at[p] for p in map(tuple, parents.tolist())]), axis,
+                    exps[np.arange(len(exps)), axis]))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_plan(alpha: tuple, beta: tuple) -> tuple:
+    """Per degree s >= 1 of :func:`pair_blocks`: the a-variables ``var``
+    that some row of degree s holds, and for each of them the index, into
+    the raveled block of degree s - 1 with a zero appended, of the entry
+    [r - e_i, parent of c] (the zero where r_i = 0); the axis b of each
+    column and its exponent c_b."""
+    rows, cols = _levels(alpha), _levels(beta)
+    plan = []
+    for s in range(1, min(len(rows), len(cols))):
+        at = {r: n for n, r in enumerate(map(tuple, rows[s - 1][0].tolist()))}
+        width = len(cols[s - 1][0])
+        _, parent, axis, power = cols[s]
+        var = [i for i in range(len(alpha)) if rows[s][0][:, i].any()]
+        gather = np.full((len(var), len(rows[s][0]), len(parent)), len(at) * width)
+        for k, i in enumerate(var):
+            for n, r in enumerate(rows[s][0].tolist()):
+                if r[i]:
+                    r[i] -= 1
+                    gather[k, n] = at[tuple(r)] * width + parent
+        plan.append((gather, np.array(var)[:, None], axis, power))
+    return tuple(plan)
+
+
+def pair_blocks(exponent: GeneratingExponent, first: tuple, orders: tuple) -> list:
+    """Taylor coefficients of exp(u^T quad u) for a form that pairs the
+    variables ``first`` only with the others, grouped by degree.
+
+    Let a be u over ``first`` and b over the others, in increasing order,
+    with orders alpha and beta taken from ``orders``. A real ``quad`` whose
+    entries inside a and inside b are exactly zero, with a zero linear
+    part, is u^T quad u = 2 a^T M b, M = quad[first, others]: every
+    monomial holds as many a's as b's, so [a^r b^c] exp(2 a^T M b) is zero
+    unless |r| = |c|. Block s holds the others: a real array of shape
+    ``batch + (n_s, m_s)`` with [a^r b^c] at row r and column c, for the
+    r <= alpha and c <= beta of degree s in lexicographic order, s from 0
+    to min(|alpha|, |beta|). Any other form raises ConstructionError; the
+    constant part is not applied.
+
+    [b^c] exp(b . 2 M^T a) = prod_j (2 M^T a)_j^c_j / c_j!, a polynomial
+    in a of degree |c|. Column c of block s is the column of its parent
+    c - e_b in block s - 1 times the linear form (2 M^T a)_b / c_b; the
+    product shifts each row r - e_i to r, and the rows that it shifts past
+    alpha are dropped, which is exact as every exponent is non-negative.
+    """
+    if len(orders) != exponent.dim:
+        raise ConstructionError("derivative orders do not match exponent dimension")
+    first = list(first)
+    others = [v for v in range(exponent.dim) if v not in first]
+    quad = exponent.quad
+    if (quad.dtype.kind != "f" or any(exponent.lin) or quad[..., first, :][..., first].any()
+            or quad[..., others, :][..., others].any()):
+        raise ConstructionError(
+            "pair_blocks needs a real quadratic form that pairs the variables "
+            f"{tuple(first)} only with the others")
+    pair = quad[..., first, :][..., others]
+    pair = pair + pair
+    batch = exponent.batch
+    level = np.ones(batch + (1, 1))
+    blocks = [level]
+    for gather, var, axis, div in _pair_plan(tuple(orders[v] for v in first),
+                                             tuple(orders[v] for v in others)):
+        flat = np.concatenate((level.reshape(batch + (-1,)), np.zeros(batch + (1,))), axis=-1)
+        level = (flat[..., gather] * (pair[..., var, axis] / div)[..., None, :]).sum(axis=-3)
+        blocks.append(level)
+    return blocks
+
+
 __all__ = [
     "GeneratingExponent",
     "DerivativeSpec",
     "coefficient_array",
     "mixed_partial_at_zero",
+    "pair_blocks",
     "Dual",
 ]

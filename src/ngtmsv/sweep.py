@@ -2,9 +2,10 @@
 
 A sweep covers the cartesian grid lambda x tau x phi and collects records in
 grid order (lambda outermost, phi fastest). Each lambda-row is evaluated in
-chunks of tau values, one heralding array per chunk, with at most
-``_CHUNK_ENTRIES`` array entries per chunk. Degenerate or stationary points
-are recorded with a status instead of aborting the sweep.
+chunks of tau values, one fill of the heralding blocks per chunk, with at
+most ``_CHUNK_PRODUCTS`` parity-quadrature products per chunk.
+Degenerate or stationary points are recorded with a status instead of
+aborting the sweep.
 """
 
 from __future__ import annotations
@@ -202,10 +203,11 @@ class SweepRecord:
     status: str
 
 
-# A chunk holds at most this many heralding-array entries, summed over its
-# points: one sym-pc-2 state (3^8 entries) per chunk, a whole asym-pa-1 row
-# (4 entries per point) in one.
-_CHUNK_ENTRIES = 8192
+# A chunk holds at most this many products of the parity quadrature's
+# widest degree (see analytics._quadrature_size), summed over its points:
+# seven sym-pc-2 states (19 x 9 each), a whole asym-pa-1 row (1 x 2 per
+# point). These arrays are most of what a chunk holds.
+_CHUNK_PRODUCTS = 1200
 
 
 def run_sweep(request: SweepRequest) -> list:
@@ -213,16 +215,15 @@ def run_sweep(request: SweepRequest) -> list:
     then tau, then phi).
 
     Each lambda-row is evaluated in chunks of consecutive tau values: the
-    points of a row share their photon numbers, so a chunk is one engine
-    call with a batch axis (see :func:`ngtmsv.analytics.evaluate_chunk`).
+    points of a row share their photon numbers, so a chunk is one fill of
+    the heralding blocks with a batch axis (see :func:`ngtmsv.analytics.evaluate_chunk`).
     Every point gets the value and status it gets on its own, and an error
     that is not a status is raised from the first point in grid order that
     raises it.
     """
     specs = ([request.spec_for(tau) for tau in request.tau_axis.values]
              if request.lam_axis.values else [])
-    entries = math.prod(k + 1 for k in specs[0].derivative_spec().orders) if specs else 1
-    size = max(1, _CHUNK_ENTRIES // entries)
+    size = max(1, _CHUNK_PRODUCTS // analytics._quadrature_size(specs[0])) if specs else 1
     records = []
     for lam in request.lam_axis.values:
         for start in range(0, len(specs), size):

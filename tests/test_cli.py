@@ -260,15 +260,15 @@ class TestEvalCommand:
         assert rc == 0
         rows = self._rows(out)
         assert rows["probability"] == "0.12244897959183677"
-        assert rows["parity"] == "0.6049438719201862"
-        assert rows["delta_phi"] == "0.7779809838628436"
+        assert rows["parity"] == "0.6049438719201857"
+        assert rows["delta_phi"] == "0.777980983862844"
         assert rows["qfi"] == "2.959183673469389"
         # exact value: the state is sum_n c_n |n, n-1> with |c_n|^2 ~ n x^n,
         # x = lam^2 tau = 1/8, so F_Q = 2<n^2> - 1 = 2(1+4x+x^2)/(1-x)^2 - 1
         assert abs(float(rows["qfi"]) - 145 / 49) <= 3 * math.ulp(145 / 49)
         assert rows["delta_phi_min"] == "0.5813183589761797"
-        assert rows["merit"] == "-0.02781014674484339"
-        assert rows["weighted_merit"] == "-0.003405324091205314"
+        assert rows["merit"] == "-0.027810146744843722"
+        assert rows["weighted_merit"] == "-0.003405324091205355"
         assert rows["operation"].startswith("asym-ps-1")
 
     def test_point_appends_wigner_row(self, capsys):
@@ -367,9 +367,9 @@ class TestSweepCommand:
         assert rc == 0
         assert out.splitlines() == [
             CSV_HEADER,
-            "0.5,1.0,0.1,0.01,-0.14278487631610765,ok",
-            "0.5,1.0,0.5,0.01,-0.013621296364821256,ok",
-            "0.5,1.0,0.9,0.01,0.014627068485700022,ok",
+            "0.5,1.0,0.1,0.01,-0.14278487631610787,ok",
+            "0.5,1.0,0.5,0.01,-0.01362129636482142,ok",
+            "0.5,1.0,0.9,0.01,0.014627068485699994,ok",
         ]
 
     def test_csv_golden_merit_two_photons(self, capsys):
@@ -379,8 +379,8 @@ class TestSweepCommand:
         assert rc == 0
         assert out.splitlines() == [
             CSV_HEADER,
-            "0.3,0.5,0.5,0.01,-0.8030191804843412,ok",
-            "0.6,0.5,0.5,0.01,-0.20438950289524727,ok",
+            "0.3,0.5,0.5,0.01,-0.8030191804287306,ok",
+            "0.6,0.5,0.5,0.01,-0.2043895028931001,ok",
         ]
 
     def test_csv_golden_merit_stationary_reference(self, capsys):

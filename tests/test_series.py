@@ -16,6 +16,7 @@ from ngtmsv.series import (
     GeneratingExponent,
     coefficient_array,
     mixed_partial_at_zero,
+    pair_blocks,
 )
 
 
@@ -137,8 +138,12 @@ class TestGeneratingExponent:
         (lambda: mixed_partial_at_zero(GeneratingExponent(2, np.zeros((3, 2, 2))),
                                        DerivativeSpec((1, 1))),
          "mixed_partial_at_zero takes one exponent, not a batch"),
+        (lambda: GeneratingExponent(2, np.zeros((3, 2, 2))).value_at((0.1, 0.2)),
+         "value_at takes one exponent, not a batch"),
+        (lambda: GeneratingExponent(2, np.zeros((1, 2, 2))).value_at((0.1, 0.2)),
+         "value_at takes one exponent, not a batch"),
     ], ids=["ragged", "complex-batch", "dual-lin-batch", "batch-shape", "asymmetric-batch",
-            "batch-extraction"])
+            "batch-extraction", "batch-value", "batch-of-one-value"])
     def test_construction_errors(self, make, message):
         with pytest.raises(ConstructionError) as err:
             make()
@@ -187,6 +192,70 @@ class TestCoefficientArray:
         g = GeneratingExponent(1, None, [2.0], const=0.3)
         arr = coefficient_array(g, DerivativeSpec((2,), prefactor=5.0))
         assert arr[0, 2] == pytest.approx(2.0)
+
+
+_PAIR_MESSAGE = ("pair_blocks needs a real quadratic form that pairs the variables "
+                 "(0,) only with the others")
+
+
+class TestPairBlocks:
+    def test_single_pair_closed_form(self):
+        # exp(2 m a b) = sum_r (2 m)^r / r! a^r b^r, for a batch of m
+        m = np.array([0.3, -1.7, 0.0])
+        quad = np.zeros((3, 2, 2))
+        quad[:, 0, 1] = quad[:, 1, 0] = m
+        blocks = pair_blocks(GeneratingExponent(2, quad), (0,), (3, 3))
+        assert [b.shape for b in blocks] == [(3, 1, 1)] * 4
+        for r, block in enumerate(blocks):
+            assert np.allclose(block[:, 0, 0], (2 * m) ** r / math.factorial(r),
+                               rtol=1e-15, atol=0.0), r
+
+    def test_unequal_orders_and_column_order(self):
+        # exp(2 a (m1 b1 + m2 b2)) holds (2 m1)^c1 (2 m2)^c2 / (c1! c2!) at
+        # a^(c1 + c2) b1^c1 b2^c2; columns run in lexicographic order
+        m1, m2 = 0.7, -0.4
+        quad = [[0.0, m1, m2], [m1, 0.0, 0.0], [m2, 0.0, 0.0]]
+        blocks = pair_blocks(GeneratingExponent(3, np.array([quad])), (0,), (2, 1, 2))
+        cols = [[(0, 0)], [(0, 1), (1, 0)], [(0, 2), (1, 1)]]
+        assert len(blocks) == len(cols)
+        for block, degree in zip(blocks, cols):
+            want = [(2 * m1) ** c1 * (2 * m2) ** c2 / (math.factorial(c1) * math.factorial(c2))
+                    for c1, c2 in degree]
+            assert block.shape == (1, 1, len(degree))
+            assert np.allclose(block[0, 0], want, rtol=1e-15, atol=0.0)
+
+    def test_matches_dense_engine_on_a_random_pair_form(self):
+        rng = np.random.default_rng(11)
+        pair = rng.normal(size=(4, 2, 3))
+        quad = np.zeros((4, 5, 5))
+        quad[:, :2, 2:] = pair
+        quad[:, 2:, :2] = pair.swapaxes(1, 2)
+        orders = (2, 1, 1, 2, 1)
+        exponent = GeneratingExponent(5, quad)
+        dense = coefficient_array(exponent, DerivativeSpec(orders))[0]
+        blocks = pair_blocks(exponent, (0, 1), orders)
+        rows = [r for r in np.ndindex(3, 2)]
+        cols = [c for c in np.ndindex(2, 3, 2)]
+        for s, block in enumerate(blocks):
+            r_s = [r for r in rows if sum(r) == s]
+            c_s = [c for c in cols if sum(c) == s]
+            want = np.array([[dense[(slice(None),) + r + c] for c in c_s] for r in r_s])
+            assert np.allclose(block, np.moveaxis(want, 2, 0), rtol=1e-13, atol=1e-15), s
+
+    @pytest.mark.parametrize("quad, lin", [
+        ([[1.0, 0.5], [0.5, 0.0]], None),
+        ([[0.0, 0.5], [0.5, 2.0]], None),
+        ([[0.0, 0.5], [0.5, 0.0]], [0.1, 0.0]),
+        ([[0.0, 0.5j], [0.5j, 0.0]], None),
+    ], ids=["inside-first", "inside-others", "linear-part", "complex"])
+    def test_rejects_a_form_that_is_not_paired(self, quad, lin):
+        with pytest.raises(ConstructionError) as err:
+            pair_blocks(GeneratingExponent(2, np.array(quad), lin), (0,), (1, 1))
+        assert str(err.value) == _PAIR_MESSAGE
+
+    def test_order_dimension_mismatch(self):
+        with pytest.raises(ConstructionError):
+            pair_blocks(GeneratingExponent(2, np.zeros((1, 2, 2))), (0,), (1,))
 
 
 class TestZeroOrderVariables:
