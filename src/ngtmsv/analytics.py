@@ -172,9 +172,10 @@ def _dense_index(orders: tuple) -> tuple:
     """Per degree s of the heralding blocks, the raveled positions k - j in
     the dense array indexed by j of their rows (j = r over ``_PAIRED``) and
     of their columns (j = c over ``_OTHERS``)."""
-    strides = np.cumprod((1,) + tuple(k + 1 for k in orders[:0:-1]))[::-1]
+    strides = [math.prod(k + 1 for k in orders[v + 1:]) for v in range(8)]
     rows, cols = (
-        [(np.array([orders[v] for v in half]) - exps) @ strides[list(half)]
+        [np.array([sum((orders[v] - e) * strides[v] for v, e in zip(half, exp))
+                   for exp in exps.tolist()], dtype=np.intp)
          for exps, *_ in _levels(tuple(orders[v] for v in half))]
         for half in (_PAIRED, _OTHERS))
     return tuple(zip(rows, cols))
@@ -213,11 +214,19 @@ class _Batch:
 
     @functools.cached_property
     def parity_terms(self) -> tuple:
-        """What :func:`_parity_numerator` reads: the coupling rows of u
-        over ``_PAIRED`` then ``_OTHERS``, the phase-space entries
-        (S11, S22) and (S13, S24) and the circle rule."""
+        """What :func:`_parity_numerator` reads: the degrees (see
+        :func:`~ngtmsv.series._levels`) of the orders of a that are not 0,
+        the coupling rows of those variables of a and then of the same ones
+        of b (a and b have the same orders), the phase-space entries
+        (S11, S22) and (S13, S24) and the circle rule. An exponent of a
+        variable of order 0 is 0, so dropping it keeps the order of the
+        degrees' exponents."""
+        orders = self.specs[0].derivative_spec().orders
+        kept = [i for i, v in enumerate(_PAIRED) if orders[v]]
         s = phase_space_form(self.params)
-        return (wigner_coupling(self.params)[:, _PAIRED + _OTHERS],
+        return (_levels(tuple(orders[_PAIRED[i]] for i in kept)),
+                wigner_coupling(self.params)[
+                    :, [_PAIRED[i] for i in kept] + [_OTHERS[i] for i in kept]],
                 (s[:, [0, 1], [0, 1]], s[:, [0, 1], [2, 3]]),
                 _circle_rule(self.specs[0].total_photons + 1))
 
@@ -599,7 +608,7 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     leads every array and is never summed over, so each state's sums run
     in the order they run for a batch of one.
     """
-    coupling, (s_even, s_odd), nodes = batch.parity_terms
+    levels, coupling, (s_even, s_odd), nodes = batch.parity_terms
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
     diag = s_even + s_odd * sin_phi
     grows = ~(diag < 0.0).all(axis=1)
@@ -622,8 +631,7 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     m = np.einsum("eab,xdeb->xdab", rots[:terms], _toeplitz(scales[:, :terms]))
     m = np.einsum("xva,xdab->xdvb", coupling, m)
     ells = _toeplitz(np.einsum("xdvb,bn->xvdn", m, nodes))
-    orders = batch.specs[0].derivative_spec().orders
-    levels = _levels(tuple(orders[v] for v in _PAIRED))  # those of _OTHERS too
+    half = coupling.shape[1] // 2
     a = b = np.zeros((len(ells), 1, terms, nodes.shape[1]), dtype=np.complex128)
     a[:, :, 0] = 1.0  # P at degree 0 is 1, on both sides
     num = 0.0
@@ -636,7 +644,7 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
             _, parent, axis, power = levels[d]
             a = np.einsum("xtden,xten->xtdn", ells[:, axis], a[:, parent])
             a /= power[:, None, None]
-            b = np.einsum("xtden,xten->xtdn", ells[:, axis + 4], b[:, parent])
+            b = np.einsum("xtden,xten->xtdn", ells[:, axis + half], b[:, parent])
             b /= power[:, None, None]
         # P at degree d, in lexicographic order, meets the rows and columns
         # of block |alpha| - d in reverse order, as t = alpha - r reverses it

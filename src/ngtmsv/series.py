@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -232,17 +233,15 @@ def _levels(orders: tuple) -> tuple:
     parent e - e_b in degree d - 1, b, the last nonzero axis of e, and
     e_b. So every exponent is reached once, from its parent, along axis b.
     """
-    grid = np.indices([k + 1 for k in orders]).reshape(len(orders), -1).T
-    degree = grid.sum(axis=1)
-    out = [(grid[:1], None, None, None)]
+    grid = list(itertools.product(*(range(k + 1) for k in orders)))
+    out = [(np.array(grid[:1]), None, None, None)]
     for d in range(1, sum(orders) + 1):
-        exps = grid[degree == d]
-        axis = len(orders) - 1 - np.argmax(exps[:, ::-1] > 0, axis=1)
         at = {e: n for n, e in enumerate(map(tuple, out[-1][0].tolist()))}
-        parents = exps.copy()
-        parents[np.arange(len(exps)), axis] -= 1
-        out.append((exps, np.array([at[p] for p in map(tuple, parents.tolist())]), axis,
-                    exps[np.arange(len(exps)), axis]))
+        exps = [e for e in grid if sum(e) == d]
+        axis = [max(i for i, k in enumerate(e) if k) for e in exps]
+        out.append((np.array(exps),
+                    np.array([at[e[:b] + (e[b] - 1,) + e[b + 1:]] for e, b in zip(exps, axis)]),
+                    np.array(axis), np.array([e[b] for e, b in zip(exps, axis)])))
     return tuple(out)
 
 
@@ -259,14 +258,11 @@ def _pair_plan(alpha: tuple, beta: tuple) -> tuple:
         at = {r: n for n, r in enumerate(map(tuple, rows[s - 1][0].tolist()))}
         width = len(cols[s - 1][0])
         _, parent, axis, power = cols[s]
-        var = [i for i in range(len(alpha)) if rows[s][0][:, i].any()]
-        gather = np.full((len(var), len(rows[s][0]), len(parent)), len(at) * width)
-        for k, i in enumerate(var):
-            for n, r in enumerate(rows[s][0].tolist()):
-                if r[i]:
-                    r[i] -= 1
-                    gather[k, n] = at[tuple(r)] * width + parent
-        plan.append((gather, np.array(var)[:, None], axis, power))
+        exps = list(map(tuple, rows[s][0].tolist()))
+        var = [i for i in range(len(alpha)) if any(r[i] for r in exps)]
+        gather = [[[at[r[:i] + (r[i] - 1,) + r[i + 1:]] * width + c if r[i] else len(at) * width
+                    for c in parent.tolist()] for r in exps] for i in var]
+        plan.append((np.array(gather), np.array(var)[:, None], axis, power))
     return tuple(plan)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
+from engine_reference import herald_core
 from ngtmsv import oracle
 from ngtmsv.analytics import (
     merit,
@@ -40,7 +41,6 @@ from ngtmsv.model import (
     tmsv_spec,
 )
 from ngtmsv.series import DerivativeSpec, GeneratingExponent, mixed_partial_at_zero
-from engine_reference import herald_core
 from ngtmsv.sweep import SweepRequest, parse_axis, run_sweep
 
 _KINDS = ("asym-ps", "asym-pa", "asym-pc", "sym-ps", "sym-pa", "sym-pc")

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from engine_reference import herald_core
 from ngtmsv import analytics
 from ngtmsv.analytics import (
     PhaseSpacePoint,
@@ -64,7 +65,6 @@ from ngtmsv.series import (
     coefficient_array,
     mixed_partial_at_zero,
 )
-from engine_reference import herald_core
 from ngtmsv.sweep import Axis, SweepRequest, parse_axis, run_sweep
 
 _KINDS = ("asym-ps", "asym-pa", "asym-pc", "sym-ps", "sym-pa", "sym-pc")
@@ -944,6 +944,7 @@ class TestStateCache:
         # order <= 2 and the QFI: one fill of the 8-variable heralding
         # blocks and one 4-variable moment-source array, both batches of
         # one, and no other engine run
+        assert not hasattr(analytics, "mixed_partial_at_zero")
         calls = _engine_calls(monkeypatch)
         analytics._heralding.cache_clear()
         lam, spec = 0.45, operation_from_table("sym-pc", 1, 0.35)
