@@ -216,7 +216,8 @@ def run_sweep(request: SweepRequest) -> list:
 
     Each lambda-row is evaluated in chunks of consecutive tau values: the
     points of a row share their photon numbers, so a chunk is one fill of
-    the heralding blocks with a batch axis (see :func:`ngtmsv.analytics.evaluate_chunk`).
+    the heralding blocks with a batch axis (see
+    :func:`ngtmsv.analytics.evaluate_chunk`).
     Every point gets the value and status it gets on its own, and an error
     that is not a status is raised from the first point in grid order that
     raises it.
