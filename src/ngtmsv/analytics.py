@@ -41,6 +41,7 @@ from .model import (
     ModelParams,
     NGOperationSpec,
     _PROB_SIGNS,
+    _is_count,
     _is_real,
     _parity_norm,
     derive_params,
@@ -97,11 +98,7 @@ def _as_point(point) -> tuple:
     if isinstance(point, (str, bytes)):
         raise ParameterError("phase-space point must be a sequence of numbers, "
                              f"not the string {point!r}")
-    try:
-        vals = tuple(point)
-    except TypeError:
-        raise ParameterError("phase-space point must be a sequence of numbers, "
-                             f"not {type(point).__name__}") from None
+    vals = _as_tuple(point, "phase-space point", "numbers")
     if len(vals) != 4:
         raise ParameterError("phase-space point needs 4 coordinates (q1, p1, q2, p2)")
     if not all(map(_is_real, vals)):
@@ -110,6 +107,23 @@ def _as_point(point) -> tuple:
     if not all(math.isfinite(v) for v in vals):
         raise ParameterError("phase-space coordinates must be finite")
     return vals
+
+
+def _as_tuple(values, what: str, items: str) -> tuple:
+    """``values`` as a tuple, once it is checked to be iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ParameterError(f"{what} must be a sequence of {items}, "
+                             f"not {type(values).__name__}") from None
+
+
+def _as_spec(spec):
+    """``spec`` once it is checked to be an operation: public entry points
+    check it, as they check lambda, before it becomes a cache key."""
+    if not isinstance(spec, NGOperationSpec):
+        raise ParameterError(f"spec must be an NGOperationSpec, got {spec!r}")
+    return spec
 
 
 def _as_lambda(lam):
@@ -237,7 +251,7 @@ def _herald(lam: float, specs: tuple) -> _Batch:
     computed, so every normalized quantity divides by the same number."""
     params = derive_params(lam, specs)
     orders = specs[0].derivative_spec().orders
-    blocks = pair_blocks(GeneratingExponent(8, wigner_aux_form(params)), _PAIRED, orders)
+    blocks = pair_blocks(wigner_aux_form(params), _PAIRED, orders)
     for block in blocks:
         block.flags.writeable = False
     # a and b have the same orders, so the top degree holds only the corner
@@ -318,7 +332,7 @@ def _floor_message(what: str) -> str:
 
 def success_probability(lam: float, spec: NGOperationSpec) -> float:
     """Probability of heralding the requested ancilla photon numbers."""
-    return _heralding(_as_lambda(lam), spec).prob
+    return _heralding(_as_lambda(lam), _as_spec(spec)).prob
 
 
 def wigner(lam: float, spec: NGOperationSpec, point) -> float:
@@ -367,7 +381,7 @@ class WignerKernel:
 def wigner_polynomial(lam: float, spec: NGOperationSpec) -> WignerKernel:
     """Closed-form Wigner kernel: the heralding coefficient array of the
     state, contracted against each point on call."""
-    return _heralding(_as_lambda(lam), spec).kernel
+    return _heralding(_as_lambda(lam), _as_spec(spec)).kernel
 
 
 def moment(lam: float, spec: NGOperationSpec, idx,
@@ -378,13 +392,15 @@ def moment(lam: float, spec: NGOperationSpec, idx,
     vector; the total order is capped (default 4). Index (0,0,0,0) returns
     exactly 1.0: its numerator is the same arithmetic as the core.
     """
-    idx = tuple(idx)
-    if len(idx) != 4 or any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in idx):
+    idx = _as_tuple(idx, "moment index", "integers")
+    if len(idx) != 4 or not all(map(_is_count, idx)):
         raise ParameterError("moment index must be four non-negative integers")
+    if not _is_count(max_total):
+        raise ParameterError(f"max_total must be a non-negative integer, got {max_total!r}")
     if sum(idx) > max_total:
         raise ParameterError(
             f"moment total order {sum(idx)} exceeds cap {max_total}")
-    state = _heralding(_as_lambda(lam), spec)
+    state = _heralding(_as_lambda(lam), _as_spec(spec))
     _check_floor(state.prob, "moments")
     return _moment(state, idx)
 
@@ -433,9 +449,8 @@ def _moment_tables(state: _State, order: int):
     their rows, so the Wigner-signed ``coeffs`` can be contracted. A
     multi-index missing from the rows or columns has A_g = 0 or B_d = 0.
     """
-    h = coefficient_array(
-        GeneratingExponent(4, moment_source_form(state.params)[None]),
-        DerivativeSpec((order,) * 4))[0, 0]
+    h = coefficient_array(GeneratingExponent(4, moment_source_form(state.params)),
+                          DerivativeSpec((order,) * 4))[0]
     shape = state.coeffs.shape
     coupling = moment_coupling(state.params) * _PROB_SIGNS[:, None]
     rows, first = _power_products(coupling[:4], shape[:4], order)
@@ -484,7 +499,7 @@ def _power_products(vecs: np.ndarray, shape: tuple, order: int):
 
 def j2_second_moment(lam: float, spec: NGOperationSpec) -> float:
     """<J2^2> of the heralded state (J2 generates the interferometer phase)."""
-    state = _heralding(_as_lambda(lam), spec)
+    state = _heralding(_as_lambda(lam), _as_spec(spec))
     _check_floor(state.prob, "moments")
     return _j2(state)
 
@@ -523,7 +538,7 @@ def parity_expectation(lam: float, spec: NGOperationSpec, phi):
     """
     for part in (phi.value, phi.deriv) if isinstance(phi, Dual) else (phi,):
         _as_phase(part)
-    state = _heralding(_as_lambda(lam), spec)
+    state = _heralding(_as_lambda(lam), _as_spec(spec))
     f, df, faults = _parity(state.batch, phi)
     value = _pick(f, faults, state.index)
     return value if df is None else Dual(value, float(df[state.index]))
@@ -698,7 +713,7 @@ def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
     ``phi + pi/2``, where the parity fringe crosses its steep region).
     """
     phi = _as_phase(phi)
-    state = _heralding(_as_lambda(lam), spec)
+    state = _heralding(_as_lambda(lam), _as_spec(spec))
     return _pick(*_sensitivity(state.batch, phi), state.index)
 
 
@@ -725,14 +740,14 @@ def _tmsv_reference(lam: float, phi: float) -> float:
 def merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
     """Sensitivity gain over the unmodified squeezed vacuum at the same lam:
     positive when the heralded state resolves phase better."""
-    ref = _tmsv_reference(_as_lambda(lam), _as_phase(phi))
-    return ref - phase_sensitivity(lam, spec, phi)
+    lam, phi, spec = _as_lambda(lam), _as_phase(phi), _as_spec(spec)
+    return _tmsv_reference(lam, phi) - phase_sensitivity(lam, spec, phi)
 
 
 def weighted_merit(lam: float, spec: NGOperationSpec, phi: float) -> float:
     """Merit weighted by the heralding probability (resource-aware gain)."""
     phi = _as_phase(phi)
-    state = _heralding(_as_lambda(lam), spec)
+    state = _heralding(_as_lambda(lam), _as_spec(spec))
     ref = _tmsv_reference(lam, phi)
     return state.prob * (ref - _pick(*_sensitivity(state.batch, phi), state.index))
 
@@ -756,9 +771,8 @@ def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
         raise ParameterError(f"unknown quantity {quantity!r}")
     xi = _as_point(point) if quantity == "wigner" else None
     lam = _as_lambda(lam)
-    if quantity in _PHASE_QUANTITIES:
-        phis = [_as_phase(phi) for phi in phis]
-    specs = tuple(specs)
+    phis = [_as_phase(phi) for phi in _as_tuple(phis, "phis", "phases")]
+    specs = tuple(map(_as_spec, _as_tuple(specs, "specs", "operations")))
     if len({(s.m1, s.m2, s.n1, s.n2) for s in specs}) > 1:
         raise ParameterError("a chunk's specs must share their photon numbers (m1, m2, n1, n2)")
     if not specs:
@@ -838,7 +852,7 @@ def sensitivity_report(lam: float, spec: NGOperationSpec,
                        phi: float) -> SensitivityReport:
     """Compute all figures of merit at one operating point."""
     phi = _as_phase(phi)
-    state = _heralding(_as_lambda(lam), spec)
+    state = _heralding(_as_lambda(lam), _as_spec(spec))
     f, _, faults = _parity(state.batch, phi)
     parity = _pick(f, faults, state.index)
     dphi = _pick(*_sensitivity(state.batch, phi), state.index)

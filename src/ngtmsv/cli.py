@@ -160,9 +160,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.quantity is None:
         raise UsageError("quantity: required for sweep; one of "
                          + ", ".join(QUANTITIES))
-    if args.quantity not in QUANTITIES:
-        raise UsageError(f"quantity: unknown {args.quantity!r}; expected one "
-                         f"of {', '.join(QUANTITIES)}")
     fmt = args.fmt or "csv"
     if fmt not in ("csv", "json"):
         raise UsageError(f"format: expected csv or json, got {fmt!r}")

@@ -58,7 +58,7 @@ class NGOperationSpec:
     def __post_init__(self):
         for name in ("m1", "m2", "n1", "n2"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            if not _is_count(v):
                 raise ParameterError(f"{name} must be a non-negative integer, got {v!r}")
         for name in ("tau1", "tau2"):
             _check_tau(name, getattr(self, name))
@@ -102,6 +102,11 @@ def _is_real(v) -> bool:
     return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _is_count(v) -> bool:
+    """Whether ``v`` is a non-negative integer: bools are not."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def _check_tau(name: str, tau) -> None:
     if not _is_real(tau):
         raise ParameterError(f"{name} must be a real number, got {tau!r}")
@@ -125,7 +130,7 @@ def operation_from_table(kind: str, n: int, tau: float) -> NGOperationSpec:
     if key not in _KIND_ROWS:
         raise ParameterError(
             f"unknown operation kind {kind!r}; expected one of {sorted(_KIND_ROWS)}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_count(n) or n < 1:
         raise ParameterError(f"photon number n must be a positive integer, got {n!r}")
     _check_tau("tau", tau)
     (m1, m2), (n1, n2), (t1, t2) = _KIND_ROWS[key](n, tau)

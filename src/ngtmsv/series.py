@@ -4,8 +4,8 @@ The analytic layer reduces every physical quantity to mixed partial
 derivatives, evaluated at zero, of ``exp(u^T Q u + L.u + c)`` in up to twelve
 formal variables. This module provides:
 
-* :class:`GeneratingExponent` — the quadratic-plus-linear exponent data, in
-  the array the form builders return and in the caller's variable numbering.
+* :class:`GeneratingExponent` — one exponent's quadratic-plus-linear data,
+  in the array a form builder returns for one operation.
 * :func:`coefficient_array` — every Taylor coefficient [u^j] of
   ``exp(u^T Q u + L.u)`` up to the requested orders, as one dense complex
   array; entries that are :class:`~ngtmsv.dual.Dual` add a derivative row.
@@ -13,7 +13,7 @@ formal variables. This module provides:
   entry of that array times the factorials, the prefactor and ``exp(c)``.
 * :func:`pair_blocks` — the coefficients of ``exp(2 a^T M b)``, a form that
   pairs one set of variables only with the rest, grouped by degree: the
-  only ones that are not zero, for a batch at once.
+  only ones that are not zero, for a batch of forms in one array.
 
 Truncation soundness: all exponents are non-negative, so a product term at
 an exponent within the orders can only arise from factor terms bounded by
@@ -29,7 +29,6 @@ import cmath
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,81 +41,59 @@ from .errors import ConstructionError
 class GeneratingExponent:
     """Exponent data ``u^T quad u + lin . u + const`` over ``dim`` variables.
 
-    ``quad`` is kept as ``np.asarray(quad)`` and must be symmetric (checked
-    exactly on construction); ``lin`` is a length-``dim`` sequence; entries
-    may be numbers or Duals, which make ``quad`` an object array. A real
-    array ``quad`` of shape ``(B, dim, dim)`` is a batch of B quadratic parts
-    that share a real ``lin`` and ``const``: ``quad[..., i, j]`` is then the
-    array of its B values, and the engine fills one array per batch entry.
+    ``quad`` is kept as ``np.asarray(quad)``, of shape ``(dim, dim)``, and
+    must be symmetric (checked exactly on construction); ``lin`` is a
+    length-``dim`` sequence; entries may be numbers or Duals, which make
+    ``quad`` an object array.
     """
 
-    __slots__ = ("dim", "quad", "lin", "const", "batch")
+    __slots__ = ("dim", "quad", "lin", "const")
 
     def __init__(self, dim: int, quad=None, lin=None, const=0.0):
         if dim <= 0:
             raise ConstructionError("dimension must be positive")
         self.dim = dim
-        batched = isinstance(quad, np.ndarray) and quad.ndim == 3
         try:
             quad = np.zeros((dim, dim)) if quad is None else np.asarray(quad)
         except ValueError:  # a ragged nesting
             quad = np.empty(0)
-        lin = [0.0] * dim if lin is None else list(lin)
-        if batched and (quad.shape[1:] != (dim, dim) or quad.dtype.kind != "f"
-                        or not all(isinstance(c, numbers.Real) for c in lin)):
-            raise ConstructionError(
-                f"a batch of quadratic blocks must be real, of shape (B, {dim}, {dim}),"
-                " with a real linear part")
-        if not batched and quad.shape != (dim, dim):
+        if quad.shape != (dim, dim):
             raise ConstructionError(f"quadratic block must be {dim}x{dim}")
-        asym = quad != quad.swapaxes(-1, -2)
-        if asym.any():
-            for i, j in np.argwhere(asym.reshape(-1, dim, dim).any(0)):
-                if i < j:
-                    raise ConstructionError(f"quadratic block not symmetric at ({i},{j})")
+        _check_symmetric(quad)
+        lin = [0.0] * dim if lin is None else list(lin)
         if len(lin) != dim:
             raise ConstructionError(f"linear part must have {dim} entries")
-        self.batch = quad.shape[:-2]
         self.quad = quad
         self.lin = lin
         self.const = const
 
-    def monomials(self, variables=None):
+    def monomials(self):
         """Yield (exponent_tuple, coefficient) with exact zero entries skipped.
 
-        ``variables`` (default: all, in order) restricts the exponent to the
-        sub-vector of those variables; exponent tuples then index it.
         Iteration order is deterministic: quadratic entries row-major with
-        i <= j (off-diagonal coefficients doubled), then linear entries. For
-        a batch, a coefficient is the array of its B values, skipped when
-        all of them are zero.
+        i <= j (off-diagonal coefficients doubled), then linear entries.
         """
-        var = tuple(range(self.dim) if variables is None else variables)
-        n = len(var)
-        nonzero = self.quad.reshape(-1, self.dim, self.dim).any(0)
-        for a, i in enumerate(var):
-            for b in range(a, n):
-                if not nonzero[i, var[b]]:
+        n = self.dim
+        for i in range(n):
+            for j in range(i, n):
+                c = self.quad[i, j]
+                if not c:
                     continue
-                c = self.quad[..., i, var[b]][()]
-                if a != b:
+                if i != j:
                     c = c + c
                 expo = [0] * n
-                expo[a] += 1
-                expo[b] += 1
+                expo[i] += 1
+                expo[j] += 1
                 yield tuple(expo), c
-        for a, i in enumerate(var):
-            c = self.lin[i]
+        for i, c in enumerate(self.lin):
             if not c:
                 continue
             expo = [0] * n
-            expo[a] = 1
+            expo[i] = 1
             yield tuple(expo), c
 
     def value_at(self, point: Sequence[complex]) -> complex:
         """Numeric value of exp(exponent) at a numeric point (numeric entries only)."""
-        if self.batch:
-            raise ConstructionError("value_at takes one exponent, not a batch")
         if len(point) != self.dim:
             raise ConstructionError("point dimension mismatch")
         total = self.const
@@ -125,6 +102,18 @@ class GeneratingExponent:
                 total += self.quad[i][j] * point[i] * point[j]
             total += self.lin[i] * point[i]
         return cmath.exp(total)
+
+
+def _check_symmetric(quad: np.ndarray) -> None:
+    """Raise ConstructionError unless every ``quad[..., i, j]`` equals
+    ``quad[..., j, i]`` exactly; the message names the first (i, j), i < j,
+    in row-major order where some entry differs."""
+    asym = quad != quad.swapaxes(-1, -2)
+    if asym.any():
+        n = quad.shape[-1]
+        for i, j in np.argwhere(asym.reshape(-1, n, n).any(0)):
+            if i < j:
+                raise ConstructionError(f"quadratic block not symmetric at ({i},{j})")
 
 
 @dataclass(frozen=True)
@@ -147,10 +136,6 @@ def coefficient_array(exponent: GeneratingExponent,
     applied. The result is a complex array of shape ``(w, k_1+1, ...,
     k_n+1)`` whose leading axis is a jet: ``w = 2`` (value, derivative) when
     any quadratic or linear entry is a :class:`Dual`, otherwise ``w = 1``.
-    A batch of B exponents, which is real, gives a real array of shape
-    ``(1, B, k_1+1, ..., k_n+1)``; each batch entry holds the bits of the
-    real part that the exponent alone gives, as the batch axis only ever
-    broadcasts.
 
     The exponent is a finite sum of commuting monomials c_m u^m, so the
     exponential is the product of exp(c_m u^m) = sum_j c_m^j/j! u^(j m).
@@ -161,25 +146,18 @@ def coefficient_array(exponent: GeneratingExponent,
     orders = tuple(spec.orders)
     if len(orders) != exponent.dim:
         raise ConstructionError("derivative orders do not match exponent dimension")
-    batch = exponent.batch
     jet = any(isinstance(c, Dual) for c in exponent.lin) or exponent.quad.dtype == object and any(
         isinstance(c, Dual) for c in exponent.quad.flat)
     shape = tuple(k + 1 for k in orders)
-    # A batch is real, and so is every product below: its arrays are filled
-    # in real arithmetic. These are the real parts of the complex arithmetic
-    # of a single exponent, whose imaginary parts are zeros that never reach
-    # the real parts, so each batch entry gets the bits it gets alone.
-    arr = np.zeros((2 if jet else 1,) + batch + shape,
-                   dtype=float if batch else np.complex128)
-    arr[(0,) + (slice(None),) * len(batch) + (0,) * len(shape)] = 1.0
-    whole = [Ellipsis] + [slice(None)] * len(shape)  # variable k at k + 1
+    arr = np.zeros((2 if jet else 1,) + shape, dtype=np.complex128)
+    arr[(0,) * arr.ndim] = 1.0
+    whole = [slice(None)] * len(shape)
     for expo, coeff in exponent.monomials():
         moved = [(k, e) for k, e in enumerate(expo) if e]
         jmax = min(orders[k] // e for k, e in moved)
         if jmax == 0:
             continue
-        cv, cd = (coeff.value, coeff.deriv) if isinstance(coeff, Dual) else (
-            coeff if batch else complex(coeff), 0.0)
+        cv, cd = (coeff.value, coeff.deriv) if isinstance(coeff, Dual) else (complex(coeff), 0.0)
         fv, fd = 1.0, 0.0
         # Every term is read from the array as it was before this factor;
         # then the terms are added in order of j.
@@ -187,17 +165,15 @@ def coefficient_array(exponent: GeneratingExponent,
         for j in range(1, jmax + 1):
             src, dst = whole.copy(), whole.copy()
             for k, e in moved:
-                src[k + 1] = slice(0, shape[k] - j * e)
-                dst[k + 1] = slice(j * e, None)
+                src[k] = slice(0, shape[k] - j * e)
+                dst[k] = slice(j * e, None)
             src, dst = tuple(src), tuple(dst)
             if jet:
                 fv, fd = fv * cv / j, (fd * cv + fv * cd) / j
                 terms.append((1, dst, fv * arr[1][src] + fd * arr[0][src]))
             else:
                 fv = fv * cv / j
-            # A linear coefficient is one number for the whole batch.
-            f = np.reshape(fv, (-1,) + (1,) * len(shape)) if batch else fv
-            terms.append((0, dst, f * arr[0][src]))
+            terms.append((0, dst, fv * arr[0][src]))
         for w, dst, term in terms:
             target = arr[w][dst]
             target += term
@@ -211,8 +187,6 @@ def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec):
     lin . u)``, read from the corner of :func:`coefficient_array`. Returns a
     :class:`Dual` when any entry of the exponent is one, else a complex.
     """
-    if exponent.batch:
-        raise ConstructionError("mixed_partial_at_zero takes one exponent, not a batch")
     corner = coefficient_array(exponent, spec)[(slice(None),) + tuple(spec.orders)]
     if len(corner) == 2:
         coeff = Dual(complex(corner[0]), complex(corner[1]))
@@ -266,20 +240,21 @@ def _pair_plan(alpha: tuple, beta: tuple) -> tuple:
     return tuple(plan)
 
 
-def pair_blocks(exponent: GeneratingExponent, first: tuple, orders: tuple) -> list:
+def pair_blocks(quad: np.ndarray, first: tuple, orders: tuple) -> list:
     """Taylor coefficients of exp(u^T quad u) for a form that pairs the
     variables ``first`` only with the others, grouped by degree.
 
-    Let a be u over ``first`` and b over the others, in increasing order,
-    with orders alpha and beta taken from ``orders``. A real ``quad`` whose
-    entries inside a and inside b are exactly zero, with a zero linear
-    part, is u^T quad u = 2 a^T M b, M = quad[first, others]: every
-    monomial holds as many a's as b's, so [a^r b^c] exp(2 a^T M b) is zero
-    unless |r| = |c|. Block s holds the others: a real array of shape
+    ``quad`` is a real symmetric array of shape ``batch + (n, n)``, one
+    form per batch entry, with ``n = len(orders)``. Let a be u over
+    ``first`` and b over the others, in increasing order, with orders alpha
+    and beta taken from ``orders``. A form whose entries inside a and inside
+    b are exactly zero is u^T quad u = 2 a^T M b, M = quad[first, others]:
+    every monomial holds as many a's as b's, so [a^r b^c] exp(2 a^T M b) is
+    zero unless |r| = |c|. Block s holds the others: a real array of shape
     ``batch + (n_s, m_s)`` with [a^r b^c] at row r and column c, for the
     r <= alpha and c <= beta of degree s in lexicographic order, s from 0
-    to min(|alpha|, |beta|). Any other form raises ConstructionError; the
-    constant part is not applied.
+    to min(|alpha|, |beta|). Any other form, or orders of another length,
+    raises ConstructionError.
 
     [b^c] exp(b . 2 M^T a) = prod_j (2 M^T a)_j^c_j / c_j!, a polynomial
     in a of degree |c|. Column c of block s is the column of its parent
@@ -287,19 +262,21 @@ def pair_blocks(exponent: GeneratingExponent, first: tuple, orders: tuple) -> li
     product shifts each row r - e_i to r, and the rows that it shifts past
     alpha are dropped, which is exact as every exponent is non-negative.
     """
-    if len(orders) != exponent.dim:
-        raise ConstructionError("derivative orders do not match exponent dimension")
+    quad = np.asarray(quad)
+    n = len(orders)
+    if quad.shape[-2:] != (n, n):
+        raise ConstructionError(f"derivative orders do not match the form's shape {quad.shape}")
+    _check_symmetric(quad)
     first = list(first)
-    others = [v for v in range(exponent.dim) if v not in first]
-    quad = exponent.quad
-    if (quad.dtype.kind != "f" or any(exponent.lin) or quad[..., first, :][..., first].any()
+    others = [v for v in range(n) if v not in first]
+    if (quad.dtype.kind != "f" or quad[..., first, :][..., first].any()
             or quad[..., others, :][..., others].any()):
         raise ConstructionError(
             "pair_blocks needs a real quadratic form that pairs the variables "
             f"{tuple(first)} only with the others")
     pair = quad[..., first, :][..., others]
     pair = pair + pair
-    batch = exponent.batch
+    batch = quad.shape[:-2]
     level = np.ones(batch + (1, 1))
     blocks = [level]
     for gather, var, axis, div in _pair_plan(tuple(orders[v] for v in first),

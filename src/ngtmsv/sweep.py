@@ -24,7 +24,7 @@ from .errors import (
     StationaryPointError,
     UsageError,
 )
-from .model import NGOperationSpec, _is_real, operation_from_table, tmsv_spec
+from .model import NGOperationSpec, _is_count, _is_real, operation_from_table, tmsv_spec
 
 QUANTITIES = (
     "probability",
@@ -138,8 +138,7 @@ class SweepRequest:
             parse_preset(self.preset)
         if self.photons is not None:
             ph = self.photons
-            if not isinstance(ph, (tuple, list)) or len(ph) != 4 or any(
-                    isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in ph):
+            if not isinstance(ph, (tuple, list)) or len(ph) != 4 or not all(map(_is_count, ph)):
                 raise UsageError(
                     "photons: expected four non-negative integers m1,m2,n1,n2")
         for lam in self.lam_axis.values:

@@ -170,13 +170,14 @@ def _engine_sensitivity(lam, spec, phi):
 
 
 def _engine_calls(monkeypatch) -> list:
-    """The list that records, from now on, (name, dimension, batch shape)
-    of every call analytics makes to an engine of :mod:`ngtmsv.series`."""
+    """The list that records, from now on, (name, form shape) of every call
+    analytics makes to an engine of :mod:`ngtmsv.series`: ``pair_blocks``
+    takes the form, ``coefficient_array`` an exponent that holds it."""
     calls = []
     for name in ("pair_blocks", "coefficient_array"):
-        def counting(exponent, *args, name=name, real=getattr(analytics, name)):
-            calls.append((name, exponent.dim, exponent.batch))
-            return real(exponent, *args)
+        def counting(arg, *args, name=name, real=getattr(analytics, name)):
+            calls.append((name, getattr(arg, "quad", arg).shape))
+            return real(arg, *args)
 
         monkeypatch.setattr(analytics, name, counting)
     return calls
@@ -268,9 +269,9 @@ class TestHeraldingArray:
                 assert np.array_equal(prob, aux * signs), (spec, lam)
 
     def test_pair_blocks_are_the_dense_array_by_degree(self):
-        # the heralding fill against the dense engine on the same batch:
-        # every block entry within 1e-12 relative, and every dense entry
-        # off the blocks (as many a's as b's) exactly zero
+        # the heralding fill of a batch against the dense engine on each
+        # entry's exponent: every block entry within 1e-12 relative, and
+        # every dense entry off the blocks (as many a's as b's) exactly zero
         paired, others = (0, 3, 4, 7), (1, 2, 5, 6)
         for spec in _SPECS:
             dspec = spec.derivative_spec()
@@ -278,37 +279,38 @@ class TestHeraldingArray:
             specs = [NGOperationSpec(spec.m1, spec.m2, spec.n1, spec.n2, tau, tau)
                      for tau in (1e-6, 0.3, 1.0)]
             for lam in (0.0, 0.01, 0.5, 0.97):
-                exponent = GeneratingExponent(8, wigner_aux_form(derive_params(lam, specs)))
-                dense = coefficient_array(exponent, dspec)[0]
-                blocks = analytics.pair_blocks(exponent, paired, dspec.orders)
-                off = np.ones(dense.shape[1:], dtype=bool)
-                for s, block in enumerate(blocks):
-                    degree = [e for e in exps if sum(e) == s]
-                    assert block.shape == (3, len(degree), len(degree)), (spec, s)
-                    for (i, r), (j, c) in itertools.product(enumerate(degree), repeat=2):
-                        u = [0] * 8
-                        for v, e in zip(paired + others, r + c):
-                            u[v] = e
-                        want = dense[(slice(None),) + tuple(u)]
-                        assert (np.abs(block[:, i, j] - want) <= 1e-12 * np.abs(want)).all(), (
-                            spec, lam, r, c)
-                        off[tuple(u)] = False
-                assert not dense[:, off].any(), (spec, lam)
+                forms = wigner_aux_form(derive_params(lam, specs))
+                blocks = analytics.pair_blocks(forms, paired, dspec.orders)
+                for b, form in enumerate(forms):
+                    dense = coefficient_array(GeneratingExponent(8, form), dspec)[0]
+                    off = np.ones(dense.shape, dtype=bool)
+                    for s, block in enumerate(blocks):
+                        degree = [e for e in exps if sum(e) == s]
+                        assert block.shape == (3, len(degree), len(degree)), (spec, s)
+                        for (i, r), (j, c) in itertools.product(enumerate(degree), repeat=2):
+                            u = [0] * 8
+                            for v, e in zip(paired + others, r + c):
+                                u[v] = e
+                            want = dense[tuple(u)]
+                            assert abs(block[b, i, j] - want) <= 1e-12 * abs(want), (
+                                spec, lam, b, r, c)
+                            off[tuple(u)] = False
+                    assert not dense[off].any(), (spec, lam, b)
 
     def test_batch_of_one_holds_the_real_part_of_the_single_exponent(self):
-        # the engine's real arithmetic for a batch against its complex
-        # arithmetic for one exponent, bit for bit; the digest pins entries
-        # that no output reads, and real arithmetic does not depend on the CPU
+        # the engine's complex arithmetic for one exponent has exactly zero
+        # imaginary parts; the digest pins the bits of the real parts,
+        # entries that no output reads. With every imaginary part zero, a
+        # fused and an unfused complex multiply round them alike, so the
+        # bits do not depend on the CPU
         digest = hashlib.sha256()
         for spec in _SPECS:
             dspec = spec.derivative_spec()
             for lam in (0.0, 0.01, 0.5, 0.97):
-                form = wigner_aux_form(derive_params(lam, (spec,)))
-                batch = coefficient_array(GeneratingExponent(8, form), dspec)[0, 0]
-                alone = coefficient_array(GeneratingExponent(8, form[0]), dspec)[0]
-                assert batch.tobytes() == alone.real.tobytes(), (spec, lam)
+                form = wigner_aux_form(derive_params(lam, (spec,)))[0]
+                alone = coefficient_array(GeneratingExponent(8, form), dspec)[0]
                 assert not alone.imag.any(), (spec, lam)
-                digest.update(batch.tobytes())
+                digest.update(alone.real.tobytes())
         assert digest.hexdigest() == (
             "b742a0f34838a89b42484bf169a2034bcda8d7608f1253d705ee89e873f6dc61")
 
@@ -942,8 +944,8 @@ class TestStateCache:
     def test_probe_runs_heralding_engine_once(self, monkeypatch):
         # a state queried for its kernel, Wigner values, every moment of
         # order <= 2 and the QFI: one fill of the 8-variable heralding
-        # blocks and one 4-variable moment-source array, both batches of
-        # one, and no other engine run
+        # blocks for a batch of one and one 4-variable moment-source
+        # array, and no other engine run
         assert not hasattr(analytics, "mixed_partial_at_zero")
         calls = _engine_calls(monkeypatch)
         analytics._heralding.cache_clear()
@@ -958,12 +960,12 @@ class TestStateCache:
             if sum(idx) <= 2:
                 moment(lam, spec, idx)
         qfi(lam, spec)
-        assert calls == [("pair_blocks", 8, (1,)), ("coefficient_array", 4, (1,))]
+        assert calls == [("pair_blocks", (1, 8, 8)), ("coefficient_array", (4, 4))]
 
     def test_sweep_queries_run_heralding_engine_once(self, monkeypatch):
         # merit, weighted merit and delta_phi read the parity signal and its
-        # slope from the state's array; the report adds only the QFI's
-        # moment-source array; both are batches of one
+        # slope from the blocks of a batch of one; the report adds only the
+        # QFI's moment-source array
         lam, phi = 0.45, 0.3
         spec = operation_from_table("sym-pc", 1, 0.35)
         _tmsv_reference(lam, phi)  # the reference is its own state
@@ -972,9 +974,9 @@ class TestStateCache:
         merit(lam, spec, phi)
         weighted_merit(lam, spec, phi)
         phase_sensitivity(lam, spec, phi)
-        assert calls == [("pair_blocks", 8, (1,))]
+        assert calls == [("pair_blocks", (1, 8, 8))]
         sensitivity_report(lam, spec, phi)
-        assert calls == [("pair_blocks", 8, (1,)), ("coefficient_array", 4, (1,))]
+        assert calls == [("pair_blocks", (1, 8, 8)), ("coefficient_array", (4, 4))]
 
 
 _ASYM_PA = operation_from_table("asym-pa", 1, 0.6)
@@ -1003,6 +1005,30 @@ class TestParameterTypes:
             "bool-tau-spec", "bool-tau-table", "bool-lambda", "bool-phi", "bool-point",
             "bool-phase-space-point", "bool-moment-index", "int-kind"])
     def test_non_real_parameters_raise_parameter_error(self, call):
+        with pytest.raises(ParameterError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: success_probability(0.5, [0, 0, 0, 1]),
+        lambda: success_probability(0.5, "x"),
+        lambda: merit(0.5, None, 0.3),
+        lambda: sensitivity_report(0.5, "x", 0.3),
+        lambda: moment(0.5, _ASYM_PA, 5),
+        lambda: moment(0.5, _ASYM_PA, None),
+        lambda: moment(0.5, _ASYM_PA, (1, 0, 0, 0), max_total="4"),
+        lambda: moment(0.5, _ASYM_PA, (1, 0, 0, 0), max_total=True),
+        lambda: analytics.evaluate_chunk("merit", 0.5, None, [0.1]),
+        lambda: analytics.evaluate_chunk("merit", 0.5, 3, [0.1]),
+        lambda: analytics.evaluate_chunk("merit", 0.5, [_ASYM_PA], None),
+        lambda: analytics.evaluate_chunk("qfi", 0.5, [_ASYM_PA], None),
+        lambda: analytics.evaluate_chunk("qfi", 0.5, [_ASYM_PA], ["x"]),
+        lambda: analytics.evaluate_chunk("merit", 0.5, ["x"], [0.1]),
+    ], ids=["list-spec", "str-spec", "none-spec-merit", "str-spec-report", "int-moment-index",
+            "none-moment-index", "str-max-total", "bool-max-total", "none-chunk-specs",
+            "int-chunk-specs", "none-chunk-phis", "none-chunk-phis-state", "str-chunk-phi-state",
+            "str-chunk-spec"])
+    def test_malformed_arguments_raise_parameter_error(self, call):
+        # each is checked before it becomes a cache key or reaches the forms
         with pytest.raises(ParameterError):
             call()
 
@@ -1134,14 +1160,14 @@ class TestBatchedSweep:
         run_sweep(SweepRequest(quantity="weighted_merit", preset="asym-pa-1",
                                lam_axis=Axis((0.5,)), tau_axis=parse_axis("0.01:0.99:101", "tau"),
                                phi_axis=Axis((0.01,))))
-        assert calls == [("pair_blocks", 8, (101,)), ("pair_blocks", 8, (1,))]
+        assert calls == [("pair_blocks", (101, 8, 8)), ("pair_blocks", (1, 8, 8))]
         calls.clear()
         _tmsv_reference(0.6, 0.01)
         calls.clear()
         run_sweep(SweepRequest(quantity="merit", preset="sym-pc-2",
                                lam_axis=Axis((0.6,)), tau_axis=parse_axis("0.01:1.0:21", "tau"),
                                phi_axis=Axis((0.01,))))
-        assert calls == [("pair_blocks", 8, (7,))] * 3
+        assert calls == [("pair_blocks", (7, 8, 8))] * 3
 
     def test_sym_pc_2_row_memory(self):
         # Seven sym-pc-2 states per chunk keep a heavy row's memory where it
