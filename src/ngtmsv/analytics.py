@@ -7,7 +7,9 @@ partial derivatives of Gaussian generating functions (see
 (:func:`~ngtmsv.series.pair_blocks`) serves a batch of states that share
 their photon numbers; the probability, the Wigner kernel, the moments,
 the QFI, and the parity signal with its phase slope are all read from
-them. A batch of one is a
+them. Merit and weighted merit compare a state with the bare TMSV at
+the same lam, whose delta_phi is a closed form, so they evaluate no second
+state. A batch of one is a
 batch: the per-point functions run the same array code, with the same
 shapes, as :func:`evaluate_chunk`, which evaluates a sweep's chunk of tau
 values at once, with the same bits per point.
@@ -41,20 +43,20 @@ from .model import (
     ModelParams,
     NGOperationSpec,
     _PROB_SIGNS,
-    _is_count,
+    _check_lambda,
     _is_real,
     _parity_norm,
     derive_params,
     moment_coupling,
     moment_source_form,
     phase_space_form,
-    tmsv_spec,
     wigner_aux_form,
     wigner_coupling,
 )
 from .series import (
     DerivativeSpec,
     GeneratingExponent,
+    _is_count,
     _levels,
     coefficient_array,
     pair_blocks,
@@ -312,10 +314,9 @@ class _State:
                             scale=scale)
 
 
-# Public entry points share the last evaluation, a batch of one; private
-# helpers take the state or batch explicitly, so an evaluation in between
-# (such as the bare-TMSV reference) cannot make a caller recompute.
-# Exceptions are never cached.
+# Public entry points share the last evaluation, a batch of one, and hand
+# the state or batch to private helpers explicitly. Exceptions are never
+# cached.
 @functools.lru_cache(maxsize=1, typed=True)
 def _heralding(lam: float, spec: NGOperationSpec) -> _State:
     return _herald(lam, (spec,)).state(0)
@@ -729,12 +730,24 @@ def _sensitivity(batch: _Batch, phi: float) -> tuple:
         return np.sqrt(np.where(0.0 > variance, 0.0, variance)) / np.abs(slope), faults
 
 
-# A sweep holds lam fixed along a row and varies phi fastest, so the
-# reference is kept for a whole phi axis (up to 256 values) at a time.
-# Exceptions are never cached.
-@functools.lru_cache(maxsize=256, typed=True)
 def _tmsv_reference(lam: float, phi: float) -> float:
-    return phase_sensitivity(lam, tmsv_spec(), phi)
+    """delta_phi of the bare TMSV in closed form (Anisimov et al., PRL 104,
+    103602 (2010)): at the operating point the parity signal is
+    (1 + k sin^2 phi)^(-1/2), k = nbar (nbar + 2) with nbar = 2 lam^2 /
+    (1 - lam^2), so delta_phi = (1 + k sin^2 phi) / (sqrt(k) |cos phi|),
+    with no cancellation. 1 - lam^2 is the product (1 - lam)(1 + lam),
+    which keeps its digits near lam = 1. The stationary rule is the state
+    path's, applied to the closed-form slope, before any division."""
+    _check_lambda(lam)
+    lam = float(lam)
+    nbar = 2.0 * lam * lam / ((1.0 - lam) * (1.0 + lam))
+    k = nbar * (nbar + 2.0)
+    spread = 1.0 + k * math.sin(phi) ** 2
+    slope = 0.5 * k * abs(math.sin(2.0 * phi)) * spread ** -1.5
+    if slope < _SLOPE_FLOOR:
+        raise StationaryPointError(
+            f"parity slope {slope:.3e} vanishes at phi={phi}; sensitivity undefined")
+    return spread / (math.sqrt(k) * abs(math.cos(phi)))
 
 
 def merit(lam: float, spec: NGOperationSpec, phi: float) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dual import Dual, d_cos, d_sin
 from .errors import ConstructionError, ParameterError
-from .series import DerivativeSpec, GeneratingExponent
+from .series import DerivativeSpec, GeneratingExponent, _is_count
 
 _KIND_ROWS = {
     # kind -> (m per mode, n per mode, tau placement) as functions of (n, tau)
@@ -100,11 +100,6 @@ def _is_real(v) -> bool:
     # A float is tested first: the ABC check takes about 0.3 us on CPython
     # 3.11, and the figure table alone checks 14,000 axis values on import.
     return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _is_count(v) -> bool:
-    """Whether ``v`` is a non-negative integer: bools are not."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _check_tau(name: str, tau) -> None:

@@ -116,6 +116,11 @@ def _check_symmetric(quad: np.ndarray) -> None:
                 raise ConstructionError(f"quadratic block not symmetric at ({i},{j})")
 
 
+def _is_count(v) -> bool:
+    """Whether ``v`` is a non-negative integer: bools are not."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 @dataclass(frozen=True)
 class DerivativeSpec:
     """Mixed-partial request: per-variable derivative orders and a prefactor."""
@@ -124,8 +129,9 @@ class DerivativeSpec:
     prefactor: complex = 1.0
 
     def __post_init__(self):
-        if any((not isinstance(k, int)) or k < 0 for k in self.orders):
-            raise ConstructionError("derivative orders must be non-negative integers")
+        if not (isinstance(self.orders, (tuple, list)) and all(map(_is_count, self.orders))):
+            raise ConstructionError(
+                f"derivative orders must be a sequence of non-negative integers, got {self.orders!r}")
 
 
 def coefficient_array(exponent: GeneratingExponent,
@@ -143,6 +149,8 @@ def coefficient_array(exponent: GeneratingExponent,
     for each j; entries shifted past the orders are dropped, which is exact
     because all exponents are non-negative.
     """
+    if not isinstance(spec, DerivativeSpec):
+        raise ConstructionError(f"expected a DerivativeSpec, got {spec!r}")
     orders = tuple(spec.orders)
     if len(orders) != exponent.dim:
         raise ConstructionError("derivative orders do not match exponent dimension")

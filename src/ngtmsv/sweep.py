@@ -24,7 +24,8 @@ from .errors import (
     StationaryPointError,
     UsageError,
 )
-from .model import NGOperationSpec, _is_count, _is_real, operation_from_table, tmsv_spec
+from .model import NGOperationSpec, _is_real, operation_from_table, tmsv_spec
+from .series import _is_count
 
 QUANTITIES = (
     "probability",
@@ -63,6 +64,8 @@ class Axis:
 
 def parse_axis(text: str, key: str) -> Axis:
     """Parse '0.4' or 'start:stop:count' into an Axis, naming the key on errors."""
+    if not isinstance(text, str):
+        raise UsageError(f"{key}: expected a value or start:stop:count axis, got {text!r}")
     text = text.strip()
     try:
         if ":" in text:
@@ -82,6 +85,8 @@ def parse_preset(name: str):
     Mixed per-mode photon numbers (e.g. 'asym-pc-1-2') are not preset names;
     the error points at --photons.
     """
+    if not isinstance(name, str):
+        raise UsageError(f"preset: expected a name, got {name!r}")
     key = name.strip().lower()
     if key == "tmsv":
         return None, 0
@@ -133,25 +138,22 @@ class SweepRequest:
         if (self.preset is None) == (self.photons is None):
             raise UsageError("exactly one of preset or photons must be given")
         if self.preset is not None:
-            if not isinstance(self.preset, str):
-                raise UsageError(f"preset: expected a name, got {self.preset!r}")
             parse_preset(self.preset)
         if self.photons is not None:
             ph = self.photons
             if not isinstance(ph, (tuple, list)) or len(ph) != 4 or not all(map(_is_count, ph)):
                 raise UsageError(
                     "photons: expected four non-negative integers m1,m2,n1,n2")
-        for lam in self.lam_axis.values:
+        for lam in _axis_values(self.lam_axis, "lambda"):
             if not (_is_real(lam) and 0.0 <= lam < 1.0):
                 raise UsageError(f"lambda: must lie in [0, 1), got {lam!r}")
         if self.tau_pair is not None and not _reals(self.tau_pair, 2):
             raise UsageError(f"tau: expected a pair of real numbers t1,t2, got {self.tau_pair!r}")
-        taus = (self.tau_pair if self.tau_pair is not None
-                else self.tau_axis.values)
-        for tau in taus:
+        taus = _axis_values(self.tau_axis, "tau")
+        for tau in self.tau_pair if self.tau_pair is not None else taus:
             if not (_is_real(tau) and 0.0 < tau <= 1.0):
                 raise UsageError(f"tau: must lie in (0, 1], got {tau!r}")
-        for phi in self.phi_axis.values:
+        for phi in _axis_values(self.phi_axis, "phi"):
             if not (_is_real(phi) and math.isfinite(phi)):
                 raise UsageError(f"phi: must be a finite real number, got {phi!r}")
         if self.quantity == "wigner":
@@ -176,6 +178,15 @@ class SweepRequest:
         if kind is None:
             return tmsv_spec()
         return operation_from_table(kind, n, tau)
+
+
+def _axis_values(axis, key: str) -> tuple:
+    """The values of an axis field, once it is checked to be an Axis whose
+    values are iterable."""
+    try:
+        return tuple(axis.values)
+    except (AttributeError, TypeError):
+        raise UsageError(f"{key}: expected an Axis of values, got {axis!r}") from None
 
 
 def _reals(values, count: int) -> bool:
@@ -260,23 +271,58 @@ def to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+_STATUSES = ("ok", "degenerate", "stationary")
+_JSON_FIELDS = ("lambda", "tau1", "tau2", "phi", "value", "status")
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in _JSON_FIELDS) + "\n  }"
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)``; a finite float is its ``float.__repr__``, which
+    is what json writes for it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 def to_json(records) -> str:
-    """Render records as a JSON array of objects (value null when not ok)."""
-    payload = [
-        {"lambda": rec.lam, "tau1": rec.tau1, "tau2": rec.tau2, "phi": rec.phi,
-         "value": rec.value, "status": rec.status}
-        for rec in records
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    """Render records as a JSON array of objects (value null when not ok).
+
+    The text is ``json.dumps(rows, indent=2) + "\\n"`` of the rows, byte for
+    byte, written directly: with an indent, json runs its pure-Python
+    encoder.
+    """
+    rows = ",\n".join(_JSON_ROW % tuple(map(_json_scalar, (
+        rec.lam, rec.tau1, rec.tau2, rec.phi, rec.value, rec.status))) for rec in records)
+    return f"[\n{rows}\n]\n" if rows else "[]\n"
 
 
 def records_from_json(text: str) -> list:
-    """Inverse of :func:`to_json` (used by tests and downstream tooling)."""
+    """Inverse of :func:`to_json` (used by tests and downstream tooling).
+
+    Text that is not a JSON array of record objects raises
+    :class:`~ngtmsv.errors.UsageError` naming the row and the field.
+    """
+    try:
+        rows = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"records: cannot read the text as JSON ({exc})") from None
+    if not isinstance(rows, list):
+        raise UsageError(f"records: expected a JSON array of objects, got {type(rows).__name__}")
     out = []
-    for row in json.loads(text):
-        out.append(SweepRecord(lam=row["lambda"], tau1=row["tau1"],
-                               tau2=row["tau2"], phi=row["phi"],
-                               value=row["value"], status=row["status"]))
+    for n, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise UsageError(f"records: row {n} is not an object: {row!r}")
+        for key in _JSON_FIELDS:
+            if key not in row:
+                raise UsageError(f"records: row {n} has no {key!r} field")
+            value = row[key]
+            if key == "status":
+                wrong = value not in _STATUSES
+            else:
+                wrong = not (_is_real(value) or key == "value" and value is None)
+            if wrong:
+                raise UsageError(f"records: row {n} has a wrong {key!r}: {value!r}")
+        out.append(SweepRecord(*(row[key] for key in _JSON_FIELDS)))
     return out
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from engine_reference import herald_core
+from engine_reference import herald_core, tmsv_sensitivity_mp
 from ngtmsv import analytics
 from ngtmsv.analytics import (
     PhaseSpacePoint,
@@ -618,14 +618,14 @@ class TestPhaseSensitivity:
     @staticmethod
     def _status_changes(phi, lams=(0, 0.01, 0.3, 0.75, 0.97)):
         """Check delta_phi and merit against their values on the parity-form
-        engine over every spec and the given lambdas at one phi: where both
-        are values, the move is within the bound of
-        :func:`_engine_sensitivity`. Returns the points whose status
-        changed, with both outcomes."""
+        engine over every spec and the given lambdas at one phi, merit with
+        the closed-form bare-TMSV reference: where both are values, the move
+        is within the bound of :func:`_engine_sensitivity`. Returns the
+        points whose delta_phi status changed, with both outcomes."""
         changes = []
         for spec in _SPECS:
             for lam in lams:
-                ref = _outcome(_engine_sensitivity, lam, tmsv_spec(), phi)
+                ref = _outcome(_tmsv_reference, lam, phi)
                 want = _outcome(_engine_sensitivity, lam, spec, phi)
                 got = _outcome(phase_sensitivity, lam, spec, phi)
                 got_merit = _outcome(merit, lam, spec, phi)
@@ -641,9 +641,9 @@ class TestPhaseSensitivity:
                 if isinstance(ref, type):
                     assert got_merit is ref, key
                 else:
-                    # the reference is the bare state, whose bits are
-                    # unchanged; each difference rounds once
-                    want_merit = ref[0] - dphi
+                    # both sides subtract from the same reference; each
+                    # difference rounds once
+                    want_merit = ref - dphi
                     assert abs(got_merit - want_merit) <= (
                         allowed + math.ulp(max(abs(got_merit), abs(want_merit)))), key
         return changes
@@ -658,7 +658,9 @@ class TestPhaseSensitivity:
     def test_fringe_top_statuses_unchanged(self):
         # at phi = 0 the operating point fl(pi/2) is a fringe top of every
         # even photon total, where the slope f'' * 6.1e-17 falls on either
-        # side of the stationary floor; a denser lambda grid than above
+        # side of the stationary floor; a denser lambda grid than above.
+        # The closed-form reference's slope is exactly 0 there, so merit is
+        # stationary wherever delta_phi is not
         lams = (0, 0.01, 0.3) + tuple(round(0.05 + 0.04 * i, 2) for i in range(24))
         assert self._status_changes(0.0, lams) == []
 
@@ -673,6 +675,51 @@ class TestPhaseSensitivity:
         slope = (vals[2] - vals[0]) / (2 * h)
         want = math.sqrt(1 - vals[1] ** 2) / abs(slope)
         assert phase_sensitivity(lam, spec, phi) == pytest.approx(want, rel=1e-7)
+
+
+class TestTmsvReference:
+    """The closed-form bare-TMSV delta_phi that merit subtracts from."""
+
+    # the points of the pinned merit values: the figures-of-merit digest,
+    # the eval golden and the merit CSV goldens
+    PINNED = ((0.3, 0.01), (0.6, 0.2), (0.9, 0.5), (0.5, 0.01), (0.6, 0.01))
+
+    @pytest.mark.parametrize("lam", [1e-8, 0.01, 0.3, 0.9, 0.97, 0.999, 0.9999])
+    def test_matches_fifty_digits(self, lam):
+        for phi in (1e-9, 1e-3, 0.01, 0.3, 1, 2.5):
+            want = _outcome(tmsv_sensitivity_mp, lam, phi)
+            got = _outcome(_tmsv_reference, lam, phi)
+            if isinstance(want, type) or isinstance(got, type):
+                assert got is want, (lam, phi)
+            else:
+                assert abs(got - want) <= 1e-15 * want, (lam, phi)
+
+    def test_pinned_references_match_fifty_digits(self):
+        for lam, phi in self.PINNED:
+            want = tmsv_sensitivity_mp(lam, phi)
+            assert abs(_tmsv_reference(lam, phi) - want) <= 1e-15 * want, (lam, phi)
+
+    def test_matches_the_state_path(self):
+        # the same operating point as phase_sensitivity of the bare state,
+        # whose 1 - f^2 loses up to 1e-12 relative at phi = 0.01
+        for lam in (0.3, 0.6, 0.9, 0.97):
+            for phi in (0.01, 0.3, 1, 2.5):
+                want = phase_sensitivity(lam, tmsv_spec(), phi)
+                assert _tmsv_reference(lam, phi) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("lam, phi", [(0.0, 0.3), (0.5, 0.0), (0.9999, 0.0),
+                                          (0.0, 0.0), (1e-200, 1.0)])
+    def test_stationary_before_any_division(self, lam, phi):
+        # the slope is exactly 0 at phi = 0 and at lambda = 0, with the
+        # state path's message
+        with pytest.raises(StationaryPointError, match="vanishes at phi="):
+            _tmsv_reference(lam, phi)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5, -0.1, math.nan])
+    def test_lambda_outside_its_range(self, lam):
+        # merit reads the reference first, with the state's lambda check
+        with pytest.raises(ParameterError, match=r"\[0, 1\)"):
+            merit(lam, tmsv_spec(), 0.3)
 
 
 class TestWigner:
@@ -828,7 +875,8 @@ class TestReports:
     def test_figures_of_merit_digest(self):
         # Pins every report field, merit and weighted_merit to the last bit
         # on 6 kinds x n in {1, 2} x 3 points: work that is shared or skipped
-        # must never change an output.
+        # must never change an output. The merit references are checked at
+        # 50 digits in TestTmsvReference.
         rows = []
         for kind in ("asym-ps", "asym-pa", "asym-pc", "sym-ps", "sym-pa", "sym-pc"):
             for n in (1, 2):
@@ -842,14 +890,13 @@ class TestReports:
                         weighted_merit(lam, spec, phi), merit(lam, spec, phi))) + "\n")
         digest = hashlib.sha256("".join(rows).encode()).hexdigest()
         assert digest == (
-            "a16ea9b9e8897bf905cca18e74e5563f1e448e00ed37692ae3aa73a57dfd870f")
+            "0164081ab70222e893932550cd7f007e36766a406e8ac12c3b1fbcb04a6a2775")
 
     def test_report_computes_heralding_core_once(self, monkeypatch):
         # probability, parity, sensitivity and the QFI share one heralding
         # array, and a second report at the same state reuses it
         lam, phi = 0.5, 0.2
         spec = operation_from_table("sym-pc", 1, 0.6)
-        _tmsv_reference(lam, phi)  # the reference is its own evaluation
         analytics._heralding.cache_clear()
         calls = []
         real_form = analytics.wigner_aux_form
@@ -864,43 +911,27 @@ class TestReports:
         sensitivity_report(lam, spec, phi)
         assert len(calls) == 1
 
-    def test_reference_once_per_phi_along_a_sweep(self, monkeypatch):
-        # run_sweep varies phi fastest, so a phi axis must not evict the
-        # references of the tau values that follow
-        _tmsv_reference.cache_clear()
-        real = analytics.phase_sensitivity
-        calls = []
+    def test_phi_scan_keeps_its_state(self, monkeypatch):
+        # the bare-TMSV reference is a closed form, not a state: a per-point
+        # scan over phi fills the heralding blocks once
+        spec = operation_from_table("sym-pc", 2, 0.7)
+        calls = _engine_calls(monkeypatch)
+        analytics._heralding.cache_clear()
+        for phi in np.linspace(0.01, 1.5, 20):
+            weighted_merit(0.5, spec, float(phi))
+        assert calls == [("pair_blocks", (1, 8, 8))]
 
-        def counting(lam, spec, phi):
-            if spec == tmsv_spec():
-                calls.append((lam, phi))
-            return real(lam, spec, phi)
-
-        monkeypatch.setattr(analytics, "phase_sensitivity", counting)
-        records = run_sweep(SweepRequest(
-            quantity="merit", preset="asym-pa-1", lam_axis=Axis((0.5,)),
-            tau_axis=Axis((0.2, 0.4, 0.6, 0.8)), phi_axis=Axis((0.1, 0.2, 0.3))))
-        assert sorted(calls) == [(0.5, 0.1), (0.5, 0.2), (0.5, 0.3)]
-        for rec in records:
-            spec = operation_from_table("asym-pa", 1, rec.tau2)
-            assert rec.value == (
-                _uncached(real, 0.5, tmsv_spec(), rec.phi)
-                - _uncached(real, 0.5, spec, rec.phi)), rec
-
-    def test_reference_reused_across_calls(self):
-        # merit and weighted_merit share the bare-TMSV reference per
-        # (lam, phi); interleaving keys must give the uncached values bit for bit
+    def test_merit_is_closed_form_minus_sensitivity(self):
         spec = operation_from_table("asym-pa", 1, 0.6)
-        for lam, phi in ((0.5, 0.2), (0.5, 0.3), (0.6, 0.2), (0.5, 0.2)):
-            want = (phase_sensitivity(lam, tmsv_spec(), phi)
-                    - phase_sensitivity(lam, spec, phi))
+        for lam, phi in ((0.5, 0.2), (0.5, 0.3), (0.6, 0.2), (0.01, 0.01), (0.97, 2.5)):
+            want = _tmsv_reference(lam, phi) - phase_sensitivity(lam, spec, phi)
             assert merit(lam, spec, phi) == want
             assert weighted_merit(lam, spec, phi) == (
                 success_probability(lam, spec) * want)
-            assert merit(lam, spec, phi) == want
 
     def test_stationary_reference_raises_every_call(self):
-        # an exception from the reference is never remembered as a value
+        # at phi = 0 the reference's slope is 0: merit and weighted merit
+        # raise its stationary error on every call
         spec = operation_from_table("asym-ps", 1, 0.7)
         with pytest.raises(StationaryPointError):
             phase_sensitivity(0.5, tmsv_spec(), 0.0)
@@ -968,7 +999,6 @@ class TestStateCache:
         # QFI's moment-source array
         lam, phi = 0.45, 0.3
         spec = operation_from_table("sym-pc", 1, 0.35)
-        _tmsv_reference(lam, phi)  # the reference is its own state
         calls = _engine_calls(monkeypatch)
         analytics._heralding.cache_clear()
         merit(lam, spec, phi)
@@ -1122,11 +1152,10 @@ class TestBatchedSweep:
             assert [(repr(r.value), r.status) for r in records] == _pointwise(request)
 
     @pytest.mark.parametrize("quantity, photons", [
-        ("sensitivity", (3, 3, 0, 0)), ("weighted_merit", (0, 0, 3, 0))])
+        ("sensitivity", (3, 3, 0, 0)), ("weighted_merit", (0, 0, 3, 3))])
     def test_first_error_in_grid_order(self, quantity, photons):
         # lambda = 0.9999 loses the parity signal's last digits: the state's
-        # signal (sensitivity) or the bare-TMSV reference's (weighted merit)
-        # exceeds 1 in magnitude at some points, which is not a status
+        # signal exceeds 1 in magnitude at some points, which is not a status
         request = SweepRequest(quantity=quantity, photons=photons,
                                lam_axis=Axis((0.5, 0.9999)),
                                tau_axis=Axis((0.5, 0.999999, 1.0)),
@@ -1136,6 +1165,19 @@ class TestBatchedSweep:
         with pytest.raises(ConsistencyError) as got:
             run_sweep(request)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("quantity", ["merit", "weighted_merit"])
+    def test_fringe_top_near_lambda_one_is_a_status(self, quantity):
+        # at lambda = 0.9999, phi = 0 the states' own signals exceed 1 in
+        # magnitude, but the reference is stationary, and merit reads it
+        # first, weighted merit right after the heralding
+        for preset in ("tmsv", "asym-pa-1", "sym-pc-2"):
+            request = SweepRequest(quantity=quantity, preset=preset,
+                                   lam_axis=Axis((0.9999,)), tau_axis=Axis((0.5, 1.0)),
+                                   phi_axis=Axis((0.0,)))
+            records = run_sweep(request)
+            assert {rec.status for rec in records} == {"stationary"}, preset
+            assert [(repr(r.value), r.status) for r in records] == _pointwise(request)
 
     def test_chunk_specs_must_share_photon_numbers(self):
         # one heralding derivative serves a chunk: specs with other photon
@@ -1152,17 +1194,14 @@ class TestBatchedSweep:
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
         # a 101-point asym-pa-1 row (1 x 2 quadrature products per point)
-        # is one chunk, and the bare-TMSV reference is one more call; a
+        # is one chunk, and the bare-TMSV reference is a closed form; a
         # 21-point sym-pc-2 row (19 x 9 per point) runs seven states per chunk
         calls = _engine_calls(monkeypatch)
-        _tmsv_reference.cache_clear()
         analytics._heralding.cache_clear()
         run_sweep(SweepRequest(quantity="weighted_merit", preset="asym-pa-1",
                                lam_axis=Axis((0.5,)), tau_axis=parse_axis("0.01:0.99:101", "tau"),
                                phi_axis=Axis((0.01,))))
-        assert calls == [("pair_blocks", (101, 8, 8)), ("pair_blocks", (1, 8, 8))]
-        calls.clear()
-        _tmsv_reference(0.6, 0.01)
+        assert calls == [("pair_blocks", (101, 8, 8))]
         calls.clear()
         run_sweep(SweepRequest(quantity="merit", preset="sym-pc-2",
                                lam_axis=Axis((0.6,)), tau_axis=parse_axis("0.01:1.0:21", "tau"),
@@ -1176,7 +1215,7 @@ class TestBatchedSweep:
         request = SweepRequest(quantity="merit", preset="sym-pc-2", lam_axis=Axis((0.5,)),
                                tau_axis=parse_axis("0.01:1.0:21", "tau"),
                                phi_axis=Axis((0.01,)))
-        run_sweep(request)  # the plane rule and the reference are cached
+        run_sweep(request)  # the circle rule is cached
         tracemalloc.start()
         try:
             run_sweep(request)

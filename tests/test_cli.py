@@ -14,6 +14,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ngtmsv
 from ngtmsv.cli import main
@@ -22,6 +24,7 @@ from ngtmsv.sweep import (
     CSV_HEADER,
     FIGURES,
     Axis,
+    SweepRecord,
     SweepRequest,
     parse_axis,
     parse_config,
@@ -54,6 +57,9 @@ class TestParseAxis:
             parse_axis("0.1:0.5:zz", "phi")
         with pytest.raises(UsageError, match="count"):
             parse_axis("0.1:0.5:0", "tau")
+        for text in (None, 0.4, b"0.4"):
+            with pytest.raises(UsageError, match="lambda"):
+                parse_axis(text, "lambda")
 
 
 class TestParsePreset:
@@ -74,6 +80,9 @@ class TestParsePreset:
             parse_preset("sym-ps-x")
         with pytest.raises(UsageError, match=">= 1"):
             parse_preset("sym-ps-0")
+        for name in (None, 3, ("tmsv",)):
+            with pytest.raises(UsageError, match="preset"):
+                parse_preset(name)
 
 
 class TestSweepRequest:
@@ -140,6 +149,8 @@ class TestSweepRequest:
         ("photons", (True, 0, 0, 0)), ("photons", (0, 0, 1, False)),
         ("lam_axis", Axis(("0.5",))), ("phi_axis", Axis(("a",))), ("photons", 3),
         ("preset", 3), ("tau_axis", Axis((True,))),
+        ("lam_axis", Axis(None)), ("lam_axis", Axis(5)), ("tau_axis", Axis(0.5)),
+        ("phi_axis", None), ("lam_axis", (0.5,)),
     ])
     def test_malformed_fields_are_usage_errors(self, field, value):
         # a preset replaces the photons, so that the preset check is reached
@@ -220,6 +231,43 @@ class TestTables:
         assert set(rows[0]) == {"lambda", "tau1", "tau2", "phi", "value",
                                 "status"}
 
+    _FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.nan,
+                                         math.inf, -math.inf]), st.floats())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(
+        SweepRecord, _FLOATS, _FLOATS, _FLOATS, _FLOATS, st.one_of(st.none(), _FLOATS),
+        st.sampled_from(["ok", "degenerate", "stationary"])), max_size=4))
+    def test_json_is_what_json_dumps_writes(self, records):
+        payload = [{"lambda": r.lam, "tau1": r.tau1, "tau2": r.tau2, "phi": r.phi,
+                    "value": r.value, "status": r.status} for r in records]
+        text = to_json(records)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        # repr tells -0.0 from 0.0 and compares nan with nan
+        assert repr(records_from_json(text)) == repr(records)
+
+    @pytest.mark.parametrize("text, match", [
+        ("[1]", "row 0 is not an object"),
+        ('[{"lam": 0.5}]', "row 0 has no 'lambda'"),
+        ('{"a": 1}', "JSON array"),
+        ("lambda,value", "cannot read"),
+        (None, "cannot read"),
+        ('[{"lambda": 0.5, "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": null,'
+         ' "status": "ok"}, {"lambda": 0.5}]', "row 1 has no 'tau1'"),
+        ('[{"lambda": "0.5", "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": null,'
+         ' "status": "ok"}]', "row 0 has a wrong 'lambda'"),
+        ('[{"lambda": 0.5, "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": true,'
+         ' "status": "ok"}]', "row 0 has a wrong 'value'"),
+        ('[{"lambda": 0.5, "tau1": 1.0, "tau2": 0.5, "phi": null, "value": 1.0,'
+         ' "status": "ok"}]', "row 0 has a wrong 'phi'"),
+        ('[{"lambda": 0.5, "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": 1.0,'
+         ' "status": "fine"}]', "row 0 has a wrong 'status'"),
+    ], ids=["int-row", "missing-field", "object", "not-json", "none", "second-row",
+            "str-lambda", "bool-value", "null-phi", "unknown-status"])
+    def test_malformed_json_is_a_usage_error(self, text, match):
+        with pytest.raises(UsageError, match=match):
+            records_from_json(text)
+
 
 class TestParseConfig:
     def test_comments_blanks_and_normalization(self, tmp_path):
@@ -267,8 +315,8 @@ class TestEvalCommand:
         # x = lam^2 tau = 1/8, so F_Q = 2<n^2> - 1 = 2(1+4x+x^2)/(1-x)^2 - 1
         assert abs(float(rows["qfi"]) - 145 / 49) <= 3 * math.ulp(145 / 49)
         assert rows["delta_phi_min"] == "0.5813183589761797"
-        assert rows["merit"] == "-0.027810146744843722"
-        assert rows["weighted_merit"] == "-0.003405324091205355"
+        assert rows["merit"] == "-0.02781014674460991"
+        assert rows["weighted_merit"] == "-0.0034053240911767245"
         assert rows["operation"].startswith("asym-ps-1")
 
     def test_point_appends_wigner_row(self, capsys):
@@ -367,9 +415,9 @@ class TestSweepCommand:
         assert rc == 0
         assert out.splitlines() == [
             CSV_HEADER,
-            "0.5,1.0,0.1,0.01,-0.14278487631610787,ok",
-            "0.5,1.0,0.5,0.01,-0.01362129636482142,ok",
-            "0.5,1.0,0.9,0.01,0.014627068485699994,ok",
+            "0.5,1.0,0.1,0.01,-0.14278487631594186,ok",
+            "0.5,1.0,0.5,0.01,-0.013621296364706898,ok",
+            "0.5,1.0,0.9,0.01,0.01462706848572919,ok",
         ]
 
     def test_csv_golden_merit_two_photons(self, capsys):
@@ -379,8 +427,8 @@ class TestSweepCommand:
         assert rc == 0
         assert out.splitlines() == [
             CSV_HEADER,
-            "0.3,0.5,0.5,0.01,-0.8030191804287306,ok",
-            "0.6,0.5,0.5,0.01,-0.2043895028931001,ok",
+            "0.3,0.5,0.5,0.01,-0.8030191804301161,ok",
+            "0.6,0.5,0.5,0.01,-0.20438950289302737,ok",
         ]
 
     def test_csv_golden_merit_stationary_reference(self, capsys):

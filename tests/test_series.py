@@ -446,3 +446,16 @@ class TestMixedPartial:
     def test_negative_orders_rejected(self):
         with pytest.raises(ConstructionError):
             DerivativeSpec((1, -1))
+
+    @pytest.mark.parametrize("call", [
+        lambda: DerivativeSpec(3),
+        lambda: DerivativeSpec(None),
+        lambda: DerivativeSpec((True,)),
+        lambda: DerivativeSpec((1, 2.0)),
+        lambda: mixed_partial_at_zero(GeneratingExponent(2), (1, 1)),
+        lambda: coefficient_array(GeneratingExponent(2), [1, 1]),
+    ], ids=["int-orders", "none-orders", "bool-order", "float-order",
+            "tuple-spec-partial", "list-spec-array"])
+    def test_malformed_orders_are_construction_errors(self, call):
+        with pytest.raises(ConstructionError):
+            call()
