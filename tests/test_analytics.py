@@ -496,6 +496,24 @@ class TestMoments:
         assert digest == (
             "0157c886ac17eada58b6f2fa423d1dda80d0c65c3f56f8e710ddeb58a0d4ae8b")
 
+    def test_high_order_moments_digest(self):
+        # Pins every moment of total order 5 or 6 (the order-5 and order-6
+        # tables) to the last bit on three states, as the digest above
+        # pins orders <= 4.
+        indices = [i for i in itertools.product(range(7), repeat=4)
+                   if sum(i) in (5, 6)]
+        rows = []
+        for kind, n, lam, tau in (("asym-pc", 2, 0.6, 0.4), ("sym-pa", 1, 0.9, 0.95),
+                                  ("sym-pc", 2, 0.3, 0.7)):
+            spec = operation_from_table(kind, n, tau)
+            for idx in indices:
+                value = moment(lam, spec, idx, max_total=6)
+                rows.append(f"{kind}-{n} {lam} {tau} {idx} {value!r}\n")
+        assert len(rows) == 420
+        digest = hashlib.sha256("".join(rows).encode()).hexdigest()
+        assert digest == (
+            "e09f57c502a8367066814666ed25760208dd752f044d8f977c33c33db1d660da")
+
     def test_digest_values_match_twelve_variable_engine(self):
         # every value the digest above pins, against the reference path
         def close(got, want):
