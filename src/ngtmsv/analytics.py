@@ -170,6 +170,12 @@ def _pick(values: np.ndarray, faults: list, index: int) -> float:
     return float(values[index])
 
 
+def _frozen(*arrays) -> tuple:
+    for a in arrays:  # read-only: cached plans and a state's arrays are shared
+        a.flags.writeable = False
+    return arrays
+
+
 def _scale(spec: NGOperationSpec) -> float:
     """``prefactor * prod(k_i!)`` of the heralding derivative."""
     dspec = spec.derivative_spec()
@@ -254,8 +260,7 @@ def _herald(lam: float, specs: tuple) -> _Batch:
     params = derive_params(lam, specs)
     orders = specs[0].derivative_spec().orders
     blocks = pair_blocks(wigner_aux_form(params), _PAIRED, orders)
-    for block in blocks:
-        block.flags.writeable = False
+    _frozen(*blocks)
     # a and b have the same orders, so the top degree holds only the corner
     # [u^k]. Its probability sign is (-1)^(k2+k4+k5+k7) = (-1)^photons.
     corner = blocks[-1][:, 0, 0]
@@ -300,8 +305,7 @@ class _State:
         scale = _scale(self.spec)
         for block, (rows, cols) in zip(self.batch.blocks, _dense_index(orders)):
             out.reshape(-1)[rows[:, None] + cols] = scale * block[self.index]
-        out.flags.writeable = False
-        return out
+        return _frozen(out)[0]
 
     @functools.cached_property
     def kernel(self) -> WignerKernel:
@@ -339,7 +343,7 @@ def success_probability(lam: float, spec: NGOperationSpec) -> float:
 def wigner(lam: float, spec: NGOperationSpec, point) -> float:
     """Normalized Wigner function of the heralded state at a point."""
     xi = _as_point(point)
-    return wigner_polynomial(lam, spec)(xi)
+    return wigner_polynomial(lam, spec)._value(xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +363,9 @@ class WignerKernel:
     scale: float
 
     def __call__(self, point) -> float:
-        xi = _as_point(point)
+        return self._value(_as_point(point))
+
+    def _value(self, xi: tuple) -> float:  # at a checked point
         expo = sum(self.quad[i][j] * xi[i] * xi[j]
                    for i in range(4) for j in range(4))
         gauss = math.exp(expo)
@@ -369,13 +375,12 @@ class WignerKernel:
             # form is negative definite and |W| <= 1/pi^2, so W is 0 there.
             return 0.0
         num = self.coeffs
-        for ell in self.coupling @ xi:
-            k = num.shape[0]
-            powers = np.ones(k, dtype=np.complex128)
+        for k, ell in zip(num.shape, self.coupling @ xi):
+            powers = [power := np.complex128(1.0)]  # Python's complex / rounds otherwise
             for j in range(1, k):
-                powers[j] = powers[j - 1] * ell / j
-            num = (powers @ num.reshape(k, -1)).reshape(num.shape[1:])
-        val = _real(complex(num), "Wigner numerator")
+                powers.append(power := power * ell / j)
+            num = np.array(powers) @ num.reshape(k, -1)
+        val = _real(complex(num[0]), "Wigner numerator")
         return self.scale * val * gauss
 
 
@@ -419,83 +424,104 @@ def _moment(state: _State, idx: tuple) -> float:
     :func:`_moment_tables`).
     """
     order = max(sum(idx), _DEFAULT_MOMENT_CAP)  # one table serves the default cap
-    tables = state.moments.get(order)
-    if tables is None:
-        tables = state.moments[order] = _moment_tables(state, order)
-    h, rows, cols, m = tables
-    num = 0
-    for gam in itertools.product(*(range(i + 1) for i in idx)):
-        row = rows.get(gam)
-        if row is None:
-            continue
-        for dlt in itertools.product(*(range(i - g + 1) for i, g in zip(idx, gam))):
-            col = cols.get(dlt)
-            if col is not None:
-                num += h[tuple(i - g - d for i, g, d in zip(idx, gam, dlt))] * m[row, col]
+    if order not in state.moments:
+        state.moments[order] = _moment_tables(state, order)
+    h, m = state.moments[order]
+    h_at, m_at = _moment_plan(idx, state.coeffs.shape, order)
+    num = 0  # Python's complex product and sum are numpy's scalar ones
+    for a, b in zip(h.take(h_at).tolist(), m.take(m_at).tolist()):
+        num += a * b
     # a[k - j] = D^k D^j aux[k - j]: D^j sits in the couplings of
-    # _moment_tables, D^k is this sign.
-    sign = -1 if state.spec.total_photons % 2 else 1
-    num = num * (sign * math.prod(map(math.factorial, idx)))
+    # _moment_tables, D^k is (-1)^photons.
+    num = num * complex((-1) ** state.spec.total_photons * math.prod(map(math.factorial, idx)))
     return _real(num, "moment numerator") / state.core
 
 
-def _moment_tables(state: _State, order: int):
-    """The arrays every moment of total order <= ``order`` is read from.
+@functools.lru_cache(maxsize=256)
+def _moment_plan(idx: tuple, shape: tuple, order: int) -> tuple:
+    """The flat positions in h and m of the terms h[idx - g - d] m[g, d] of
+    :func:`_moment`, in summing order; a g or d past the tables' degree
+    has A_g = 0 or B_d = 0, and no term."""
+    rows, cols = ({g: n for n, g in enumerate(_power_plan(half, order)[0])}
+                  for half in (shape[:4], shape[4:]))
+    h_at, m_at = zip(*(
+        ([i - g - d for i, g, d in zip(idx, gam, dlt)], rows[gam] * len(cols) + cols[dlt])
+        for gam in itertools.product(*(range(i + 1) for i in idx)) if gam in rows
+        for dlt in itertools.product(*(range(i - g + 1) for i, g in zip(idx, gam)))
+        if dlt in cols))
+    return _frozen(np.ravel_multi_index(np.array(h_at).T, (order + 1,) * 4), np.array(m_at))
 
-    Returns h (orders up to ``order`` per variable), the row and column of
-    each multi-index, and m[g, d] = sum_j A_g[j'] B_d[j''] coeffs[j], where
-    j = (j', j'') splits the eight variables in halves and A_g (B_d) holds
-    [u^j'] prod_b (c_b.u)^g_b / g_b! over the first (last) half. The
-    columns c_b of the moment coupling carry the probability signs D on
-    their rows, so the Wigner-signed ``coeffs`` can be contracted. A
-    multi-index missing from the rows or columns has A_g = 0 or B_d = 0.
-    """
+
+def _moment_tables(state: _State, order: int):
+    """The arrays every moment of total order <= ``order`` reads: h (orders
+    up to ``order`` per variable) and, where |g| + |d| <= order, m[g, d] =
+    sum_j A_g[j'] B_d[j''] coeffs[j]; j = (j', j'') splits the variables in
+    halves, A_g (B_d) holds [u^j'] prod_b (c_b.u)^g_b / g_b! over the first
+    (last) half for the g (d) of :func:`_power_plan`. The columns c_b of the
+    moment coupling carry the probability signs D on their rows, so the
+    Wigner-signed ``coeffs`` can be contracted."""
     h = coefficient_array(GeneratingExponent(4, moment_source_form(state.params)),
                           DerivativeSpec((order,) * 4))[0]
     shape = state.coeffs.shape
     coupling = moment_coupling(state.params) * _PROB_SIGNS[:, None]
-    rows, first = _power_products(coupling[:4], shape[:4], order)
-    cols, last = _power_products(coupling[4:], shape[4:], order)
+    first = _power_products(coupling[:4], shape[:4], order)
+    last = _power_products(coupling[4:], shape[4:], order)
+    coeffs = state.coeffs.reshape(first.shape[1], last.shape[1])
     # Elementwise products and numpy sums only: a BLAS product's last bits
     # depend on the library build, and moments are pinned to the last bit.
-    m = np.zeros((first.shape[1], last.shape[1]), dtype=np.complex128)
-    for a_row, k_row in zip(first, state.coeffs.reshape(len(first), len(last))):
-        if a_row.any():
-            m += np.multiply.outer(a_row, (k_row[:, None] * last).sum(axis=0))
-    return h, rows, cols, m
+    # The sum over j'' is numpy's pairwise sum along memory. The sum over j'
+    # runs in order from +0: A_g[j'] = 0 unless |j'| = |g|, and adding a
+    # zero to such a sum changes no bit.
+    m = np.zeros((len(first), len(last)), dtype=np.complex128)
+    ends = [cols.stop for _, cols in _power_plan(shape[4:], order)[2]]
+    for s, (rows, cols) in enumerate(_power_plan(shape[:4], order)[2]):
+        width = ends[min(order - s, len(ends) - 1)]  # a moment reads |g| + |d| <= order
+        part = (coeffs[rows, None] * last[:width]).sum(axis=2)
+        m[cols, :width] = (first.T[rows, cols][..., None] * part[:, None]).sum(axis=0)
+    return h, m
 
 
-def _power_products(vecs: np.ndarray, shape: tuple, order: int):
-    """The column of every g with |g| <= order, and a matrix whose column
-    holds [u^j] prod_b (vecs[:, b].u)^g_b / g_b! for j < shape (raveled).
-    A product of higher degree than the array holds is zero, so the levels
-    stop there.
-
-    Level d holds |g| = d; g is reached from g - e_b with b its last
-    nonzero axis, multiplying by one linear form and dropping what shifts
-    past ``shape``.
-    """
+@functools.lru_cache(maxsize=64)
+def _power_plan(shape: tuple, order: int) -> tuple:
+    """What the power products read, the same for every state: every g
+    with |g| <= order up to the degree the array holds; per degree d >= 1,
+    of each g its axis b (its last nonzero one), the index of g - e_b in
+    degree d - 1, and g_b; per degree d, the raveled j < ``shape`` with
+    |j| = d and the slice of the g with |g| = d."""
     level_g = [(0, 0, 0, 0)]
+    gammas, levels, spans = list(level_g), [], [slice(0, 1)]
+    for _ in range(min(order, sum(shape) - len(shape))):
+        kids = [(b, p, g[:b] + (g[b] + 1,) + g[b + 1:])
+                for p, g in enumerate(level_g)
+                for b in range(max((a for a in range(4) if g[a]), default=0), 4)]
+        b_idx, p_idx, level_g = zip(*kids)
+        div = np.array([g[b] for b, g in zip(b_idx, level_g)], dtype=float)
+        levels.append(_frozen(np.array(b_idx), np.array(p_idx),
+                              div.reshape((-1,) + (1,) * 4)))
+        spans.append(slice(len(gammas), len(gammas) + len(level_g)))
+        gammas += level_g
+    degree = np.indices(shape).sum(axis=0).reshape(-1)
+    rows = _frozen(*(np.flatnonzero(degree == d) for d in range(len(spans))))
+    return tuple(gammas), tuple(levels), tuple(zip(rows, spans))
+
+
+def _power_products(vecs: np.ndarray, shape: tuple, order: int) -> np.ndarray:
+    """Row g (see :func:`_power_plan`): [u^j] prod_b (vecs[:, b].u)^g_b / g_b!
+    for the raveled j < shape, its parent's row times one linear form."""
+    gammas, levels, _ = _power_plan(shape, order)
     level = np.zeros((1,) + shape, dtype=np.complex128)
     level[(0,) * 5] = 1.0
-    gammas, cols = list(level_g), [level]
-    for _ in range(min(order, sum(shape) - len(shape))):
+    cols = [level]
+    for b_idx, p_idx, div in levels:
         up = np.zeros((4,) + level.shape, dtype=np.complex128)
         for i, n in enumerate(shape):
             if n > 1:
                 head = (slice(None),) * (1 + i)
                 up[(slice(None),) + head + (slice(1, None),)] += (
                     vecs[i].reshape((4,) + (1,) * 5) * level[head + (slice(-1),)])
-        kids = [(b, p, g[:b] + (g[b] + 1,) + g[b + 1:])
-                for p, g in enumerate(level_g)
-                for b in range(max((a for a in range(4) if g[a]), default=0), 4)]
-        b_idx, p_idx, level_g = zip(*kids)
-        div = np.array([g[b] for b, g in zip(b_idx, level_g)], dtype=float)
-        level = up[list(b_idx), list(p_idx)] / div.reshape((-1,) + (1,) * 4)
-        gammas += level_g
+        level = up[b_idx, p_idx] / div
         cols.append(level)
-    return ({g: n for n, g in enumerate(gammas)},
-            np.concatenate(cols).reshape(len(gammas), -1).T)
+    return np.concatenate(cols).reshape(len(gammas), -1)
 
 
 def j2_second_moment(lam: float, spec: NGOperationSpec) -> float:
@@ -703,8 +729,7 @@ def _circle_rule(n: int) -> np.ndarray:
     """
     angles = [math.pi * k / n for k in range(n)]
     nodes = np.array([[math.cos(t) for t in angles], [math.sin(t) for t in angles]])
-    nodes.flags.writeable = False
-    return nodes
+    return _frozen(nodes)[0]
 
 
 def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
@@ -805,7 +830,7 @@ def _state_outcome(quantity: str, batch: _Batch, index: int, xi):
         if quantity == "probability":
             return state.prob
         if quantity == "wigner":
-            return state.kernel(xi)
+            return state.kernel._value(xi)
         _check_floor(state.prob, "moments")
         fisher = _qfi(_j2(state))
         return fisher if quantity == "qfi" else 1.0 / math.sqrt(fisher)

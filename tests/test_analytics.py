@@ -1011,6 +1011,34 @@ class TestStateCache:
         qfi(lam, spec)
         assert calls == [("pair_blocks", (1, 8, 8)), ("coefficient_array", (4, 4))]
 
+    def test_shape_plans_are_shared_and_read_only(self):
+        # the moment and power-product plans depend only on the photon
+        # numbers: a second sym-pc-1 state adds no cache miss. Their arrays
+        # are shared, so none can be written, and both caches are bounded
+        caches = (analytics._power_plan, analytics._moment_plan)
+        assert all(cache.cache_info().maxsize is not None for cache in caches)
+        indices = [i for i in itertools.product(range(3), repeat=4) if sum(i) <= 2]
+
+        def probe(lam, tau):
+            spec = operation_from_table("sym-pc", 1, tau)
+            for idx in indices:
+                moment(lam, spec, idx)
+            qfi(lam, spec)
+            return analytics._heralding(lam, spec).coeffs.shape
+
+        shape = probe(0.45, 0.35)
+        misses = [cache.cache_info().misses for cache in caches]
+        assert probe(0.8, 0.6) == shape
+        assert [cache.cache_info().misses for cache in caches] == misses
+        arrays = [a for idx in indices for a in analytics._moment_plan(idx, shape, 4)]
+        for half in (shape[:4], shape[4:]):
+            _, levels, degrees = analytics._power_plan(half, 4)
+            arrays += [a for level in levels for a in level]
+            arrays += [rows for rows, _ in degrees]
+        assert len(arrays) == 2 * len(indices) + 2 * (3 * 4 + 5)
+        assert not any(a.flags.writeable for a in arrays)
+        assert [cache.cache_info().misses for cache in caches] == misses
+
     def test_sweep_queries_run_heralding_engine_once(self, monkeypatch):
         # merit, weighted merit and delta_phi read the parity signal and its
         # slope from the blocks of a batch of one; the report adds only the

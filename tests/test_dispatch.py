@@ -1,0 +1,41 @@
+"""The pinned bits on every numpy dispatch target of the host.
+
+numpy picks its SIMD loops when it is imported, per CPU, and its vector
+complex multiply fuses products (FMA) on some targets but not on its
+baseline. Each run below starts an interpreter with the host's targets
+disabled from the top down (``NPY_DISABLE_CPU_FEATURES``), to the baseline,
+and reruns the moments digests and the Wigner kernel's bit check there.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+TESTS = Path(__file__).resolve().parent
+RERUN = """
+import sys
+from numpy._core._multiarray_umath import __cpu_features__
+assert not any(__cpu_features__[name] for name in sys.argv[1:]), sys.argv
+import test_analytics as t
+t.TestMoments().test_moments_digest()
+t.TestMoments().test_high_order_moments_digest()
+t.TestWigner().test_kernel_matches_tensordot_contraction()
+"""
+
+
+def test_pinned_bits_on_every_dispatch_target():
+    have = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    runs = []
+    for top in range(len(have)):  # the host's targets are in ascending order
+        off = have[top:]
+        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(off))
+        runs.append((off, subprocess.Popen([sys.executable, "-c", RERUN, *off], env=env,
+                                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                           text=True)))
+    for off, run in runs:
+        _, err = run.communicate(timeout=300)
+        assert run.returncode == 0, (off, err)
