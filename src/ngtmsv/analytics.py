@@ -56,6 +56,7 @@ from .model import (
 from .series import (
     DerivativeSpec,
     GeneratingExponent,
+    _frozen,
     _is_count,
     _levels,
     coefficient_array,
@@ -170,12 +171,6 @@ def _pick(values: np.ndarray, faults: list, index: int) -> float:
     return float(values[index])
 
 
-def _frozen(*arrays) -> tuple:
-    for a in arrays:  # read-only: cached plans and a state's arrays are shared
-        a.flags.writeable = False
-    return arrays
-
-
 def _scale(spec: NGOperationSpec) -> float:
     """``prefactor * prod(k_i!)`` of the heralding derivative."""
     dspec = spec.derivative_spec()
@@ -189,7 +184,7 @@ _PAIRED = (0, 3, 4, 7)
 _OTHERS = (1, 2, 5, 6)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _dense_index(orders: tuple) -> tuple:
     """Per degree s of the heralding blocks, the raveled positions k - j in
     the dense array indexed by j of their rows (j = r over ``_PAIRED``) and
@@ -200,7 +195,7 @@ def _dense_index(orders: tuple) -> tuple:
                    for exp in exps.tolist()], dtype=np.intp)
          for exps, *_ in _levels(tuple(orders[v] for v in half))]
         for half in (_PAIRED, _OTHERS))
-    return tuple(zip(rows, cols))
+    return tuple(zip(_frozen(*rows), _frozen(*cols)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,8 +437,9 @@ def _moment_plan(idx: tuple, shape: tuple, order: int) -> tuple:
     """The flat positions in h and m of the terms h[idx - g - d] m[g, d] of
     :func:`_moment`, in summing order; a g or d past the tables' degree
     has A_g = 0 or B_d = 0, and no term."""
-    rows, cols = ({g: n for n, g in enumerate(_power_plan(half, order)[0])}
-                  for half in (shape[:4], shape[4:]))
+    rows, cols = ({g: n for n, g in enumerate(
+        g for exps, *_ in _power_plan(half, order)[0] for g in map(tuple, exps.tolist()))}
+        for half in (shape[:4], shape[4:]))
     h_at, m_at = zip(*(
         ([i - g - d for i, g, d in zip(idx, gam, dlt)], rows[gam] * len(cols) + cols[dlt])
         for gam in itertools.product(*(range(i + 1) for i in idx)) if gam in rows
@@ -473,8 +469,8 @@ def _moment_tables(state: _State, order: int):
     # runs in order from +0: A_g[j'] = 0 unless |j'| = |g|, and adding a
     # zero to such a sum changes no bit.
     m = np.zeros((len(first), len(last)), dtype=np.complex128)
-    ends = [cols.stop for _, cols in _power_plan(shape[4:], order)[2]]
-    for s, (rows, cols) in enumerate(_power_plan(shape[:4], order)[2]):
+    ends = [cols.stop for _, cols in _power_plan(shape[4:], order)[1]]
+    for s, (rows, cols) in enumerate(_power_plan(shape[:4], order)[1]):
         width = ends[min(order - s, len(ends) - 1)]  # a moment reads |g| + |d| <= order
         part = (coeffs[rows, None] * last[:width]).sum(axis=2)
         m[cols, :width] = (first.T[rows, cols][..., None] * part[:, None]).sum(axis=0)
@@ -483,45 +479,36 @@ def _moment_tables(state: _State, order: int):
 
 @functools.lru_cache(maxsize=64)
 def _power_plan(shape: tuple, order: int) -> tuple:
-    """What the power products read, the same for every state: every g
-    with |g| <= order up to the degree the array holds; per degree d >= 1,
-    of each g its axis b (its last nonzero one), the index of g - e_b in
-    degree d - 1, and g_b; per degree d, the raveled j < ``shape`` with
-    |j| = d and the slice of the g with |g| = d."""
-    level_g = [(0, 0, 0, 0)]
-    gammas, levels, spans = list(level_g), [], [slice(0, 1)]
-    for _ in range(min(order, sum(shape) - len(shape))):
-        kids = [(b, p, g[:b] + (g[b] + 1,) + g[b + 1:])
-                for p, g in enumerate(level_g)
-                for b in range(max((a for a in range(4) if g[a]), default=0), 4)]
-        b_idx, p_idx, level_g = zip(*kids)
-        div = np.array([g[b] for b, g in zip(b_idx, level_g)], dtype=float)
-        levels.append(_frozen(np.array(b_idx), np.array(p_idx),
-                              div.reshape((-1,) + (1,) * 4)))
-        spans.append(slice(len(gammas), len(gammas) + len(level_g)))
-        gammas += level_g
-    degree = np.indices(shape).sum(axis=0).reshape(-1)
-    rows = _frozen(*(np.flatnonzero(degree == d) for d in range(len(spans))))
-    return tuple(gammas), tuple(levels), tuple(zip(rows, spans))
+    """What the power products read, the same for every state: the degrees
+    d <= top of the g <= (top,) * 4 (see :func:`~ngtmsv.series._levels`),
+    top = min(order, |shape - 1|), the degree the array holds; per degree
+    d, the raveled j < ``shape`` with |j| = d and the slice of the rows of
+    the g with |g| = d."""
+    top = min(order, sum(shape) - len(shape))
+    levels = _levels((top,) * 4)[:top + 1]
+    ends = list(itertools.accumulate((len(exps) for exps, *_ in levels), initial=0))
+    rows = _frozen(*(np.ravel_multi_index(exps.T, shape)
+                     for exps, *_ in _levels(tuple(n - 1 for n in shape))[:top + 1]))
+    return levels, tuple(zip(rows, map(slice, ends, ends[1:])))
 
 
 def _power_products(vecs: np.ndarray, shape: tuple, order: int) -> np.ndarray:
     """Row g (see :func:`_power_plan`): [u^j] prod_b (vecs[:, b].u)^g_b / g_b!
     for the raveled j < shape, its parent's row times one linear form."""
-    gammas, levels, _ = _power_plan(shape, order)
+    levels, _ = _power_plan(shape, order)
     level = np.zeros((1,) + shape, dtype=np.complex128)
     level[(0,) * 5] = 1.0
     cols = [level]
-    for b_idx, p_idx, div in levels:
+    for _, p_idx, b_idx, div in levels[1:]:
         up = np.zeros((4,) + level.shape, dtype=np.complex128)
         for i, n in enumerate(shape):
             if n > 1:
                 head = (slice(None),) * (1 + i)
                 up[(slice(None),) + head + (slice(1, None),)] += (
                     vecs[i].reshape((4,) + (1,) * 5) * level[head + (slice(-1),)])
-        level = up[b_idx, p_idx] / div
+        level = up[b_idx, p_idx] / div.reshape((-1,) + (1,) * 4)
         cols.append(level)
-    return np.concatenate(cols).reshape(len(gammas), -1)
+    return np.concatenate(cols).reshape(-1, math.prod(shape))
 
 
 def j2_second_moment(lam: float, spec: NGOperationSpec) -> float:
@@ -697,13 +684,21 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     return _scale(batch.specs[0]) / nodes.shape[1] * num.sum(axis=-1)
 
 
-def _quadrature_size(spec: NGOperationSpec) -> int:
-    """How many products P(t) :func:`_parity_numerator` holds per state
-    and series term at its widest degree: the most exponents t <= (m1, m2,
-    n1, n2) of one degree times the directions of the circle rule."""
+# A sweep chunk holds at most this many products of the parity quadrature's
+# widest degree, summed over its states: seven sym-pc-2 states (19 x 9
+# each), a whole asym-pa-1 row (1 x 2 per state). These arrays are most of
+# what a chunk holds.
+_CHUNK_PRODUCTS = 1200
+
+
+def _chunk_states(spec: NGOperationSpec) -> int:
+    """How many states with the photon numbers of ``spec`` one sweep chunk
+    evaluates: per state and series term, :func:`_parity_numerator` holds
+    at its widest degree the most exponents t <= (m1, m2, n1, n2) of one
+    degree times the directions of the circle rule."""
     orders = spec.derivative_spec().orders
     widest = max(len(exps) for exps, *_ in _levels(tuple(orders[v] for v in _PAIRED)))
-    return widest * (spec.total_photons + 1)
+    return max(1, _CHUNK_PRODUCTS // (widest * (spec.total_photons + 1)))
 
 
 def _toeplitz(series: np.ndarray) -> np.ndarray:
@@ -717,7 +712,7 @@ def _toeplitz(series: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _circle_rule(n: int) -> np.ndarray:
     """The n directions (cos theta, sin theta), theta = pi k / n for k < n,
     as a read-only (2, n) array.

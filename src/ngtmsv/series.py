@@ -206,9 +206,16 @@ def mixed_partial_at_zero(exponent: GeneratingExponent, spec: DerivativeSpec):
     return out
 
 
-@functools.lru_cache(maxsize=None)
+def _frozen(*arrays) -> tuple:
+    for a in arrays:  # read-only: cached plans and a state's arrays are shared
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
 def _levels(orders: tuple) -> tuple:
-    """The exponents e <= ``orders``, grouped by degree |e|.
+    """The exponents e <= ``orders``, grouped by degree |e|: the one tree
+    of multi-indices that every per-shape plan reads.
 
     Per degree d: the (n_d, len(orders)) int array of its exponents in
     lexicographic order; for d > 0 also, per exponent e, the index of its
@@ -216,18 +223,19 @@ def _levels(orders: tuple) -> tuple:
     e_b. So every exponent is reached once, from its parent, along axis b.
     """
     grid = list(itertools.product(*(range(k + 1) for k in orders)))
-    out = [(np.array(grid[:1]), None, None, None)]
+    out = [_frozen(np.array(grid[:1])) + (None, None, None)]
     for d in range(1, sum(orders) + 1):
         at = {e: n for n, e in enumerate(map(tuple, out[-1][0].tolist()))}
         exps = [e for e in grid if sum(e) == d]
         axis = [max(i for i, k in enumerate(e) if k) for e in exps]
-        out.append((np.array(exps),
-                    np.array([at[e[:b] + (e[b] - 1,) + e[b + 1:]] for e, b in zip(exps, axis)]),
-                    np.array(axis), np.array([e[b] for e, b in zip(exps, axis)])))
+        out.append(_frozen(
+            np.array(exps),
+            np.array([at[e[:b] + (e[b] - 1,) + e[b + 1:]] for e, b in zip(exps, axis)]),
+            np.array(axis), np.array([e[b] for e, b in zip(exps, axis)])))
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _pair_plan(alpha: tuple, beta: tuple) -> tuple:
     """Per degree s >= 1 of :func:`pair_blocks`: the a-variables ``var``
     that some row of degree s holds, and for each of them the index, into
@@ -244,7 +252,7 @@ def _pair_plan(alpha: tuple, beta: tuple) -> tuple:
         var = [i for i in range(len(alpha)) if any(r[i] for r in exps)]
         gather = [[[at[r[:i] + (r[i] - 1,) + r[i + 1:]] * width + c if r[i] else len(at) * width
                     for c in parent.tolist()] for r in exps] for i in var]
-        plan.append((np.array(gather), np.array(var)[:, None], axis, power))
+        plan.append(_frozen(np.array(gather), np.array(var)[:, None], axis, power))
     return tuple(plan)
 
 

@@ -2,8 +2,8 @@
 
 A sweep covers the cartesian grid lambda x tau x phi and collects records in
 grid order (lambda outermost, phi fastest). Each lambda-row is evaluated in
-chunks of tau values, one fill of the heralding blocks per chunk, with at
-most ``_CHUNK_PRODUCTS`` parity-quadrature products per chunk.
+chunks of tau values, one fill of the heralding blocks per chunk, with a
+bounded number of parity-quadrature products per chunk.
 Degenerate or stationary points are recorded with a status instead of
 aborting the sweep.
 """
@@ -24,7 +24,7 @@ from .errors import (
     StationaryPointError,
     UsageError,
 )
-from .model import NGOperationSpec, _is_real, operation_from_table, tmsv_spec
+from .model import NGOperationSpec, _KIND_ROWS, _is_real, operation_from_table, tmsv_spec
 from .series import _is_count
 
 QUANTITIES = (
@@ -37,8 +37,6 @@ QUANTITIES = (
     "weighted_merit",
     "wigner",
 )
-
-_PRESET_KINDS = ("asym-ps", "asym-pa", "asym-pc", "sym-ps", "sym-pa", "sym-pc")
 
 CSV_HEADER = "lambda,tau1,tau2,phi,value,status"
 
@@ -90,7 +88,7 @@ def parse_preset(name: str):
     key = name.strip().lower()
     if key == "tmsv":
         return None, 0
-    for kind in _PRESET_KINDS:
+    for kind in _KIND_ROWS:
         if key.startswith(kind + "-"):
             rest = key[len(kind) + 1:]
             if "-" in rest:
@@ -108,7 +106,7 @@ def parse_preset(name: str):
             return kind, n
     raise UsageError(
         f"preset: unknown name {name!r}; expected tmsv or one of "
-        f"{', '.join(k + '-<n>' for k in _PRESET_KINDS)}")
+        f"{', '.join(k + '-<n>' for k in _KIND_ROWS)}")
 
 
 @dataclass(frozen=True)
@@ -213,13 +211,6 @@ class SweepRecord:
     status: str
 
 
-# A chunk holds at most this many products of the parity quadrature's
-# widest degree (see analytics._quadrature_size), summed over its points:
-# seven sym-pc-2 states (19 x 9 each), a whole asym-pa-1 row (1 x 2 per
-# point). These arrays are most of what a chunk holds.
-_CHUNK_PRODUCTS = 1200
-
-
 def run_sweep(request: SweepRequest) -> list:
     """Evaluate the grid; records come back in grid order (lambda outermost,
     then tau, then phi).
@@ -234,7 +225,7 @@ def run_sweep(request: SweepRequest) -> list:
     """
     specs = ([request.spec_for(tau) for tau in request.tau_axis.values]
              if request.lam_axis.values else [])
-    size = max(1, _CHUNK_PRODUCTS // analytics._quadrature_size(specs[0])) if specs else 1
+    size = analytics._chunk_states(specs[0]) if specs else 1
     records = []
     for lam in request.lam_axis.values:
         for start in range(0, len(specs), size):

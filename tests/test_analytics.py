@@ -12,6 +12,7 @@ Closed-form targets used below (squeezing parameter lam = tanh r):
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -58,7 +59,7 @@ from ngtmsv.model import (
     tmsv_spec,
     wigner_aux_form,
 )
-from ngtmsv import oracle
+from ngtmsv import oracle, series
 from ngtmsv.series import (
     DerivativeSpec,
     GeneratingExponent,
@@ -1012,31 +1013,60 @@ class TestStateCache:
         assert calls == [("pair_blocks", (1, 8, 8)), ("coefficient_array", (4, 4))]
 
     def test_shape_plans_are_shared_and_read_only(self):
-        # the moment and power-product plans depend only on the photon
-        # numbers: a second sym-pc-1 state adds no cache miss. Their arrays
-        # are shared, so none can be written, and both caches are bounded
-        caches = (analytics._power_plan, analytics._moment_plan)
-        assert all(cache.cache_info().maxsize is not None for cache in caches)
+        # every lru_cache of the engine and the analytic layer is bounded.
+        # The per-shape plans depend only on the photon numbers: after a
+        # sym-pc-1 probe and a sym-pc-2 merit row, a second state of each
+        # shape adds no cache miss (the kept state is keyed by state). The
+        # plans' arrays are shared, so none can be written: each cached
+        # value is read on the miss that stores it, with the caches empty
+        caches = {name: fn for module in (series, analytics)
+                  for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
+        assert {"_levels", "_pair_plan", "_dense_index", "_circle_rule",
+                "_power_plan", "_moment_plan", "_heralding"} <= set(caches)
+        assert all(fn.cache_parameters()["maxsize"] for fn in caches.values())
         indices = [i for i in itertools.product(range(3), repeat=4) if sum(i) <= 2]
 
-        def probe(lam, tau):
+        def warm(lam, tau):
             spec = operation_from_table("sym-pc", 1, tau)
+            wigner(lam, spec, (0.3, -0.2, 0.1, 0.4))
             for idx in indices:
                 moment(lam, spec, idx)
             qfi(lam, spec)
-            return analytics._heralding(lam, spec).coeffs.shape
+            phase_sensitivity(lam, spec, 0.3)
+            run_sweep(SweepRequest(quantity="merit", preset="sym-pc-2", lam_axis=Axis((lam,)),
+                                   tau_axis=parse_axis("0.01:1.0:21", "tau"),
+                                   phi_axis=Axis((0.01,))))
 
-        shape = probe(0.45, 0.35)
-        misses = [cache.cache_info().misses for cache in caches]
-        assert probe(0.8, 0.6) == shape
-        assert [cache.cache_info().misses for cache in caches] == misses
-        arrays = [a for idx in indices for a in analytics._moment_plan(idx, shape, 4)]
-        for half in (shape[:4], shape[4:]):
-            _, levels, degrees = analytics._power_plan(half, 4)
-            arrays += [a for level in levels for a in level]
-            arrays += [rows for rows, _ in degrees]
-        assert arrays and not any(a.flags.writeable for a in arrays)
-        assert [cache.cache_info().misses for cache in caches] == misses
+        codes = {fn.__wrapped__.__code__ for fn in caches.values()}
+        stored = []
+
+        def spy(frame, event, arg):
+            if event == "return" and frame.f_code in codes:
+                stored.append(arg)
+
+        for fn in caches.values():
+            fn.cache_clear()
+        before = sys.getprofile()
+        sys.setprofile(spy)
+        try:
+            warm(0.45, 0.35)
+        finally:
+            sys.setprofile(before)
+        plans = {name: fn for name, fn in caches.items() if name != "_heralding"}
+        assert all(fn.cache_info().currsize for fn in plans.values())
+        misses = {name: fn.cache_info().misses for name, fn in plans.items()}
+        warm(0.8, 0.6)
+        assert {name: fn.cache_info().misses for name, fn in plans.items()} == misses
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+
+        found = [a for value in stored for a in arrays(value)]
+        assert found and not any(a.flags.writeable for a in found)
 
     def test_sweep_queries_run_heralding_engine_once(self, monkeypatch):
         # merit, weighted merit and delta_phi read the parity signal and its

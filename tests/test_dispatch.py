@@ -4,7 +4,9 @@ numpy picks its SIMD loops when it is imported, per CPU, and its vector
 complex multiply fuses products (FMA) on some targets but not on its
 baseline. Each run below starts an interpreter with the host's targets
 disabled from the top down (``NPY_DISABLE_CPU_FEATURES``), to the baseline,
-and reruns the moments digests and the Wigner kernel's bit check there.
+and reruns there the moments digests, the Wigner kernel's bit check, the
+figures-of-merit digest (which reads the parity quadrature's ``einsum``
+contractions) and the dense engine's array digest.
 """
 
 import os
@@ -23,6 +25,8 @@ import test_analytics as t
 t.TestMoments().test_moments_digest()
 t.TestMoments().test_high_order_moments_digest()
 t.TestWigner().test_kernel_matches_tensordot_contraction()
+t.TestReports().test_figures_of_merit_digest()
+t.TestHeraldingArray().test_batch_of_one_holds_the_real_part_of_the_single_exponent()
 """
 
 
