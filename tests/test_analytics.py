@@ -434,6 +434,27 @@ class TestParitySignal:
                     assert abs(got.deriv - want.deriv) <= 1e-11 * abs(want.deriv), (
                         spec, lam, at, got.deriv, want.deriv)
 
+    def test_fringe_top_series_digest(self):
+        # Pins the second-order series of the quadrature to the last bit:
+        # every point lies within _TOP_WINDOW of a fringe top of a state with
+        # an even photon total, where the slope is read from the curvature
+        rows = []
+        for kind in _KINDS:
+            for n in (1, 2):
+                spec = operation_from_table(kind, n, 0.7)
+                if spec.total_photons % 2:
+                    continue
+                for lam in (0.3, 0.6, 0.9):
+                    for at in (math.pi / 2, math.pi / 2 + 5e-10, 3 * math.pi / 2):
+                        assert abs(math.cos(at)) <= analytics._TOP_WINDOW
+                        got = _outcome(parity_expectation, lam, spec, Dual(at, 1.0))
+                        rows.append(repr(got if isinstance(got, type)
+                                         else (got.value, got.deriv)) + "\n")
+        assert len(rows) == 90
+        digest = hashlib.sha256("".join(rows).encode()).hexdigest()
+        assert digest == (
+            "c01bb12b1cafb7ee48a30f0cb1375b5d3ddeb7c8ac68cd5a3cbca3a8785d0497")
+
     def test_bare_state_bits_unchanged(self):
         # the TMSV numerator is exactly 1, so the signal and its slope are
         # the closed-form prefactor alone, as with the parity-form engine:
