@@ -485,7 +485,7 @@ def _power_plan(shape: tuple, order: int) -> tuple:
     d, the raveled j < ``shape`` with |j| = d and the slice of the rows of
     the g with |g| = d."""
     top = min(order, sum(shape) - len(shape))
-    levels = _levels((top,) * 4)[:top + 1]
+    levels = _levels((top,) * 4, top)
     ends = list(itertools.accumulate((len(exps) for exps, *_ in levels), initial=0))
     rows = _frozen(*(np.ravel_multi_index(exps.T, shape)
                      for exps, *_ in _levels(tuple(n - 1 for n in shape))[:top + 1]))
@@ -656,49 +656,100 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     rot = np.array([[c, 0.0], [0.0, c], [s, 0.0], [0.0, s]])
     rots = np.array([rot, 0.5 * np.array([[-s, 0.0], [0.0, -s], [c, 0.0], [0.0, c]]),
                      -0.125 * rot])
-    # the series of l = C N L z per direction, as Cauchy-product matrices
+    # the series of l = C N L z per direction, with its terms reversed: the
+    # Cauchy product's term k reads terms k, k - 1, ..., 0 of it in order
     m = np.einsum("eab,xdeb->xdab", rots[:terms], _toeplitz(scales[:, :terms]))
     m = np.einsum("xva,xdab->xdvb", coupling, m)
-    ells = _toeplitz(np.einsum("xdvb,bn->xvdn", m, nodes))
-    half = coupling.shape[1] // 2
-    a = b = np.zeros((len(ells), 1, terms, nodes.shape[1]), dtype=np.complex128)
+    sums = np.empty((len(m), terms), dtype=np.complex128)
+    size = _slice_states(batch, terms)
+    for start in range(0, len(m), size):
+        rows = slice(start, start + size)
+        ells = np.einsum("xdvb,bn->xvdn", m[rows], nodes)[:, :, ::-1]
+        sums[rows] = _direction_sums(levels, ells, [block[rows] for block in batch.blocks])
+    return _scale(batch.specs[0]) / nodes.shape[1] * sums
+
+
+def _direction_sums(levels: tuple, ells: np.ndarray, blocks: list) -> np.ndarray:
+    """The numerator's series terms of :func:`_parity_numerator`, summed
+    over the directions, for a slice of the batch whose reversed direction
+    series are ``ells`` and whose heralding blocks are ``blocks``."""
+    half, terms = ells.shape[1] // 2, ells.shape[2]
+    a = b = np.zeros((len(ells), 1, terms, ells.shape[3]), dtype=np.complex128)
     a[:, :, 0] = 1.0  # P at degree 0 is 1, on both sides
     num = 0.0
     # Complex products go through np.einsum without `optimize`: its loops
     # are built once for numpy's baseline instruction set and round the same
     # on every CPU, where a BLAS routine and numpy's complex multiply ufunc
-    # pick kernels per CPU, and the latter fuses its products (FMA).
-    for d, block in enumerate(reversed(batch.blocks)):
+    # pick kernels per CPU, and the latter fuses its products (FMA). Each
+    # term of a Cauchy product is one einsum over views, so no operand is
+    # expanded to a (terms x terms) matrix; the operands' strides keep every
+    # sum in the order it had as one contraction with such a matrix.
+    for d, block in enumerate(reversed(blocks)):
         if d:
             _, parent, axis, power = levels[d]
-            a = np.einsum("xtden,xten->xtdn", ells[:, axis], a[:, parent])
-            a /= power[:, None, None]
-            b = np.einsum("xtden,xten->xtdn", ells[:, axis + half], b[:, parent])
-            b /= power[:, None, None]
+            a = _cauchy(ells[:, axis], a[:, parent])
+            b = _cauchy(ells[:, axis + half], b[:, parent])
+            # numpy divides a complex number by t_b + 0j as the product of
+            # each part with 1 / t_b; no part here is -0.0 (an einsum's sum
+            # starts at +0.0), so these products are those quotients
+            recip = (1.0 / power)[:, None, None]
+            for parts in (a.view(np.float64), b.view(np.float64)):
+                parts *= recip
         # P at degree d, in lexicographic order, meets the rows and columns
         # of block |alpha| - d in reverse order, as t = alpha - r reverses it
         values = np.einsum("xrc,xcm->xrm", block[:, ::-1, ::-1],
                            b.view(np.float64).reshape(b.shape[:2] + (-1,)))
-        num = num + 2.0 ** d * math.factorial(d) * np.einsum(
-            "xrden,xren->xdn", _toeplitz(a), values.view(np.complex128).reshape(a.shape))
-    return _scale(batch.specs[0]) / nodes.shape[1] * num.sum(axis=-1)
+        values = values.view(np.complex128).reshape(a.shape)
+        term = np.empty((len(a), terms, a.shape[3]), dtype=np.complex128)
+        for k in range(terms):  # sum over r, then over e <= k of a[k - e] values[e]
+            np.einsum("xren,xren->xn", a[:, :, k::-1], values[:, :, :k + 1], out=term[:, k])
+        del values
+        num = num + 2.0 ** d * math.factorial(d) * term
+    return num.sum(axis=-1)
 
 
-# A sweep chunk holds at most this many products of the parity quadrature's
-# widest degree, summed over its states: seven sym-pc-2 states (19 x 9
-# each), a whole asym-pa-1 row (1 x 2 per state). These arrays are most of
-# what a chunk holds.
-_CHUNK_PRODUCTS = 1200
+def _cauchy(ells: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """Per exponent t: the Cauchy product of the series ``parents[:, t]``
+    with the reversed series ``ells[:, t]``, term by term, each term a sum
+    over e in increasing order."""
+    terms = parents.shape[2]
+    out = np.empty(parents.shape, dtype=np.complex128)
+    for k in range(terms):
+        np.einsum("xten,xten->xtn", ells[:, :, terms - 1 - k:], parents[:, :, :k + 1],
+                  out=out[:, :, k])
+    return out
+
+
+# The bytes of arrays one sweep chunk holds: the heralding blocks of its
+# states and the parity quadrature's arrays for a slice of them at a time.
+# A chunk takes 31 sym-pc-2 states; the quadrature of a 21-state row takes
+# one slice at series order 0, two at order 1 and three at order 2.
+_CHUNK_BYTES = 560_000
 
 
 def _chunk_states(spec: NGOperationSpec) -> int:
     """How many states with the photon numbers of ``spec`` one sweep chunk
-    evaluates: per state and series term, :func:`_parity_numerator` holds
-    at its widest degree the most exponents t <= (m1, m2, n1, n2) of one
-    degree times the directions of the circle rule."""
+    evaluates: per state, :func:`~ngtmsv.series.pair_blocks` ends with the
+    blocks' entries (float64) and holds, at its widest degree, about three
+    more blocks of that size. The rows and the columns of block s hold the
+    exponents of degree s of the same orders."""
     orders = spec.derivative_spec().orders
-    widest = max(len(exps) for exps, *_ in _levels(tuple(orders[v] for v in _PAIRED)))
-    return max(1, _CHUNK_PRODUCTS // (widest * (spec.total_photons + 1)))
+    counts = [len(exps) for exps, *_ in _levels(tuple(orders[v] for v in _PAIRED))]
+    return max(1, _CHUNK_BYTES // (8 * (sum(c * c for c in counts) + 3 * max(counts) ** 2)))
+
+
+def _slice_states(batch: _Batch, terms: int) -> int:
+    """How many states of ``batch`` one pass of :func:`_direction_sums`
+    takes, in slices of equal size to within one: what the chunk's bytes
+    leave beside the batch's blocks, over the bytes per state. At the
+    widest degree a state holds about six complex arrays of its exponents
+    times ``terms`` times the directions: a, the old and the new b, and the
+    two gathered operands of a Cauchy product, and the direction series."""
+    levels, _, _, nodes = batch.parity_terms
+    per_state = 16 * 6 * max(len(exps) for exps, *_ in levels) * terms * nodes.shape[1]
+    held = sum(block.nbytes for block in batch.blocks)
+    passes = -(-len(batch.specs) // max(1, (_CHUNK_BYTES - held) // per_state))
+    return -(-len(batch.specs) // passes)
 
 
 def _toeplitz(series: np.ndarray) -> np.ndarray:

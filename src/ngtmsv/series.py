@@ -213,7 +213,7 @@ def _frozen(*arrays) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _levels(orders: tuple) -> tuple:
+def _levels(orders: tuple, top: int | None = None) -> tuple:
     """The exponents e <= ``orders``, grouped by degree |e|: the one tree
     of multi-indices that every per-shape plan reads.
 
@@ -221,12 +221,16 @@ def _levels(orders: tuple) -> tuple:
     lexicographic order; for d > 0 also, per exponent e, the index of its
     parent e - e_b in degree d - 1, b, the last nonzero axis of e, and
     e_b. So every exponent is reached once, from its parent, along axis b.
+    Only the degrees up to ``top`` (default: all of them) are built.
     """
-    grid = list(itertools.product(*(range(k + 1) for k in orders)))
-    out = [_frozen(np.array(grid[:1])) + (None, None, None)]
-    for d in range(1, sum(orders) + 1):
+    top = sum(orders) if top is None else min(top, sum(orders))
+    grid = [[] for _ in range(top + 1)]
+    for e in itertools.product(*(range(min(k, top) + 1) for k in orders)):
+        if sum(e) <= top:
+            grid[sum(e)].append(e)
+    out = [_frozen(np.array(grid[0])) + (None, None, None)]
+    for exps in grid[1:]:
         at = {e: n for n, e in enumerate(map(tuple, out[-1][0].tolist()))}
-        exps = [e for e in grid if sum(e) == d]
         axis = [max(i for i, k in enumerate(e) if k) for e in exps]
         out.append(_frozen(
             np.array(exps),
@@ -298,7 +302,12 @@ def pair_blocks(quad: np.ndarray, first: tuple, orders: tuple) -> list:
     for gather, var, axis, div in _pair_plan(tuple(orders[v] for v in first),
                                              tuple(orders[v] for v in others)):
         flat = np.concatenate((level.reshape(batch + (-1,)), np.zeros(batch + (1,))), axis=-1)
-        level = (flat[..., gather] * (pair[..., var, axis] / div)[..., None, :]).sum(axis=-3)
+        factor = pair[..., var, axis] / div
+        # one variable of a at a time, added onto +0.0 in the order of var:
+        # the sum np.sum would form, without the (var, rows, cols) array
+        level = np.zeros(batch + gather.shape[1:])
+        for i, rows in enumerate(gather):
+            level += flat[..., rows] * factor[..., i, None, :]
         blocks.append(level)
     return blocks
 

@@ -3,7 +3,7 @@
 A sweep covers the cartesian grid lambda x tau x phi and collects records in
 grid order (lambda outermost, phi fastest). Each lambda-row is evaluated in
 chunks of tau values, one fill of the heralding blocks per chunk, with a
-bounded number of parity-quadrature products per chunk.
+bounded number of bytes of arrays per chunk.
 Degenerate or stationary points are recorded with a status instead of
 aborting the sweep.
 """

@@ -1289,9 +1289,9 @@ class TestBatchedSweep:
         assert got == [weighted_merit(0.5, spec, 0.1) for spec in same]
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
-        # a 101-point asym-pa-1 row (1 x 2 quadrature products per point)
-        # is one chunk, and the bare-TMSV reference is a closed form; a
-        # 21-point sym-pc-2 row (19 x 9 per point) runs seven states per chunk
+        # a 101-point asym-pa-1 row is one chunk, and the bare-TMSV reference
+        # is a closed form; so is a 21-point sym-pc-2 row, whose quadrature
+        # runs over slices of the chunk
         calls = _engine_calls(monkeypatch)
         analytics._heralding.cache_clear()
         run_sweep(SweepRequest(quantity="weighted_merit", preset="asym-pa-1",
@@ -1302,20 +1302,37 @@ class TestBatchedSweep:
         run_sweep(SweepRequest(quantity="merit", preset="sym-pc-2",
                                lam_axis=Axis((0.6,)), tau_axis=parse_axis("0.01:1.0:21", "tau"),
                                phi_axis=Axis((0.01,))))
-        assert calls == [("pair_blocks", (7, 8, 8))] * 3
+        assert calls == [("pair_blocks", (21, 8, 8))]
 
     def test_sym_pc_2_row_memory(self):
-        # Seven sym-pc-2 states per chunk keep a heavy row's memory where it
-        # was. The parent commit, which evaluated one point at a time, peaked
-        # at 609,931 traced bytes on this row (Python 3.11, numpy 2.4).
-        request = SweepRequest(quantity="merit", preset="sym-pc-2", lam_axis=Axis((0.5,)),
-                               tau_axis=parse_axis("0.01:1.0:21", "tau"),
-                               phi_axis=Axis((0.01,)))
-        run_sweep(request)  # the circle rule is cached
-        tracemalloc.start()
-        try:
-            run_sweep(request)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.10 * 609_931, peak
+        # A heavy row's memory stays where it was at every series order of
+        # the quadrature: merit at phi = 0.01 reads order 1, sensitivity at
+        # phi = 0 (a fringe top) order 2 and parity order 0. The commit that
+        # evaluated one point at a time peaked at 609,931 traced bytes on the
+        # merit row (Python 3.11, numpy 2.4).
+        for quantity, phi in (("merit", 0.01), ("sensitivity", 0.0), ("parity", 0.3)):
+            request = SweepRequest(quantity=quantity, preset="sym-pc-2",
+                                   lam_axis=Axis((0.5,)),
+                                   tau_axis=parse_axis("0.01:1.0:21", "tau"),
+                                   phi_axis=Axis((phi,)))
+            run_sweep(request)  # the circle rule is cached
+            tracemalloc.start()
+            try:
+                run_sweep(request)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.10 * 609_931, (quantity, peak)
+
+    @pytest.mark.parametrize("preset, tau", [
+        ("sym-pc-2", "0.01:1.0:21"), ("asym-pa-1", "0.01:0.99:101")])
+    def test_whole_rows_match_per_point_functions(self, preset, tau):
+        # a row fills one chunk, and a sym-pc-2 row's quadrature runs in
+        # slices of it, at series orders 0 to 2 (phi = 0 and 5e-10 lie at a
+        # fringe top of the signal's phi + pi/2)
+        for quantity in ("parity", "sensitivity", "merit"):
+            request = SweepRequest(quantity=quantity, preset=preset, lam_axis=Axis((0.6,)),
+                                   tau_axis=parse_axis(tau, "tau"),
+                                   phi_axis=Axis((0.0, 5e-10, 0.01)))
+            got = [(repr(rec.value), rec.status) for rec in run_sweep(request)]
+            assert got == _pointwise(request), quantity
