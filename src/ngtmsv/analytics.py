@@ -635,7 +635,8 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     B_s. Every factor is a truncated Taylor series in phi, held on the axis
     after the batch axis, and products are Cauchy products. The batch axis
     leads every array and is never summed over, so each state's sums run
-    in the order they run for a batch of one.
+    in the order they run for a batch of one, and the degree loop can take
+    the batch in slices (see :func:`_slice_states`).
     """
     levels, coupling, (s_even, s_odd), nodes = batch.parity_terms
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)

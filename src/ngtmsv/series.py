@@ -224,12 +224,12 @@ def _levels(orders: tuple, top: int | None = None) -> tuple:
     Only the degrees up to ``top`` (default: all of them) are built.
     """
     top = sum(orders) if top is None else min(top, sum(orders))
-    grid = [[] for _ in range(top + 1)]
+    degrees = [[] for _ in range(top + 1)]
     for e in itertools.product(*(range(min(k, top) + 1) for k in orders)):
         if sum(e) <= top:
-            grid[sum(e)].append(e)
-    out = [_frozen(np.array(grid[0])) + (None, None, None)]
-    for exps in grid[1:]:
+            degrees[sum(e)].append(e)
+    out = [_frozen(np.array(degrees[0])) + (None, None, None)]
+    for exps in degrees[1:]:
         at = {e: n for n, e in enumerate(map(tuple, out[-1][0].tolist()))}
         axis = [max(i for i, k in enumerate(e) if k) for e in exps]
         out.append(_frozen(
