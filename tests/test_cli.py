@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -267,6 +268,31 @@ class TestTables:
     def test_malformed_json_is_a_usage_error(self, text, match):
         with pytest.raises(UsageError, match=match):
             records_from_json(text)
+
+    def test_text_digest(self):
+        # Pins the CSV and JSON text of a sweep to the last byte: the first
+        # lambda-row of every figure curve, a degenerate and a stationary
+        # row, a pinned tau pair, and an axis of an int and a float tau
+        # (records keep the types the request gave them)
+        requests = [replace(req, lam_axis=Axis(req.lam_axis.values[:1]))
+                    for name in sorted(FIGURES) for _, req in FIGURES[name][1]]
+        requests += [
+            SweepRequest(quantity="qfi", lam_axis=parse_axis("0:0.5:2", "lambda"),
+                         preset="tmsv"),
+            SweepRequest(quantity="merit", lam_axis=Axis((0.4,)), tau_axis=Axis((0.5, 0.9)),
+                         phi_axis=Axis((0.0,)), preset="sym-pc-1"),
+            SweepRequest(quantity="sensitivity", lam_axis=Axis((0.3, 0.6)),
+                         photons=(1, 2, 1, 2), tau_pair=(0.6, 0.8)),
+            SweepRequest(quantity="probability", lam_axis=Axis((0.5,)),
+                         tau_axis=Axis((1, 1.0)), preset="asym-pa-1"),
+        ]
+        digest = hashlib.sha256()
+        for req in requests:
+            records = run_sweep(req)
+            digest.update(to_csv(records).encode())
+            digest.update(to_json(records).encode())
+        assert digest.hexdigest() == (
+            "5aeaec81e0f80d956e3cdcd07455a395587b39a59fe7f6f717463756d51cbac7")
 
 
 class TestParseConfig:
