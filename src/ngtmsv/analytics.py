@@ -857,8 +857,8 @@ def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
     xi = _as_point(point) if quantity == "wigner" else None
     lam = _as_lambda(lam)
     phis = [_as_phase(phi) for phi in _as_tuple(phis, "phis", "phases")]
-    specs = tuple(map(_as_spec, _as_tuple(specs, "specs", "operations")))
-    if len({(s.m1, s.m2, s.n1, s.n2) for s in specs}) > 1:
+    specs = _as_tuple(specs, "specs", "operations")
+    if len({(_as_spec(s).m1, s.m2, s.n1, s.n2) for s in specs}) > 1:
         raise ParameterError("a chunk's specs must share their photon numbers (m1, m2, n1, n2)")
     if not specs:
         return []
@@ -903,7 +903,7 @@ def _phase_outcomes(quantity: str, batch: _Batch, lam: float, phi: float) -> lis
             values = ref - values
         elif quantity == "weighted_merit":
             values = batch.prob * (ref - values)
-    return [float(v) if fault is None else fault for v, fault in zip(values, faults)]
+    return [v if fault is None else fault for v, fault in zip(values.tolist(), faults)]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ aborting the sweep.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,7 +25,8 @@ from .errors import (
     StationaryPointError,
     UsageError,
 )
-from .model import NGOperationSpec, _KIND_ROWS, _is_real, operation_from_table, tmsv_spec
+from .model import (NGOperationSpec, _KIND_ROWS, _check_tau, _is_real, operation_from_table,
+                    tmsv_spec)
 from .series import _is_count
 
 QUANTITIES = (
@@ -57,7 +59,7 @@ class Axis:
             raise UsageError(f"axis count must be >= 1, got {count}")
         if count == 1:
             return cls((float(start),))
-        return cls(tuple(float(v) for v in np.linspace(start, stop, count)))
+        return cls(tuple(np.linspace(start, stop, count).tolist()))
 
 
 def parse_axis(text: str, key: str) -> Axis:
@@ -137,6 +139,9 @@ class SweepRequest:
             raise UsageError("exactly one of preset or photons must be given")
         if self.preset is not None:
             parse_preset(self.preset)
+            if self.tau_pair is not None:
+                raise UsageError("tau: presets take a scalar or axis tau, not a pair; "
+                                 "use --photons for explicit per-mode transmissivities")
         if self.photons is not None:
             ph = self.photons
             if not isinstance(ph, (tuple, list)) or len(ph) != 4 or not all(map(_is_count, ph)):
@@ -169,13 +174,19 @@ class SweepRequest:
             m1, m2, n1, n2 = self.photons
             t1, t2 = self.tau_pair if self.tau_pair is not None else (tau, tau)
             return NGOperationSpec(m1, m2, n1, n2, t1, t2)
-        if self.tau_pair is not None:
-            raise UsageError("tau: presets take a scalar or axis tau, not a pair; "
-                             "use --photons for explicit per-mode transmissivities")
         kind, n = parse_preset(self.preset)
         if kind is None:
             return tmsv_spec()
-        return operation_from_table(kind, n, tau)
+        _check_tau("tau", tau)
+        return _preset_spec(kind, n, tau)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _preset_spec(kind: str, n: int, tau) -> NGOperationSpec:
+    """``operation_from_table(kind, n, tau)``, kept per value and type of
+    tau, so that a record keeps the tau it was given. Callers check tau
+    first: a lookup must not hash what is not a number."""
+    return operation_from_table(kind, n, tau)
 
 
 def _axis_values(axis, key: str) -> tuple:
@@ -223,22 +234,25 @@ def run_sweep(request: SweepRequest) -> list:
     that is not a status is raised from the first point in grid order that
     raises it.
     """
-    specs = ([request.spec_for(tau) for tau in request.tau_axis.values]
-             if request.lam_axis.values else [])
+    # the request has checked its preset and every tau
+    kind, n = (None, 0) if request.preset is None else parse_preset(request.preset)
+    specs = [request.spec_for(tau) if kind is None else _preset_spec(kind, n, tau)
+             for tau in request.tau_axis.values]
     size = analytics._chunk_states(specs[0]) if specs else 1
+    phis = request.phi_axis.values
     records = []
     for lam in request.lam_axis.values:
         for start in range(0, len(specs), size):
             chunk = specs[start:start + size]
-            outcomes = analytics.evaluate_chunk(
-                request.quantity, lam, chunk, request.phi_axis.values, request.point)
-            points = ((spec, phi) for spec in chunk for phi in request.phi_axis.values)
-            for (spec, phi), out in zip(points, outcomes):
-                records.append(_record(lam, spec, phi, out))
+            outcomes = analytics.evaluate_chunk(request.quantity, lam, chunk, phis, request.point)
+            points = ((spec, phi) for spec in chunk for phi in phis)
+            records += [_record(lam, spec, phi, out) for (spec, phi), out in zip(points, outcomes)]
     return records
 
 
 def _record(lam: float, spec: NGOperationSpec, phi: float, outcome) -> SweepRecord:
+    if type(outcome) is float:
+        return SweepRecord(lam, spec.tau1, spec.tau2, phi, outcome, "ok")
     if isinstance(outcome, (DegenerateOperationError, DegenerateStateError)):
         value, status = None, "degenerate"
     elif isinstance(outcome, StationaryPointError):
@@ -251,14 +265,24 @@ def _record(lam: float, spec: NGOperationSpec, phi: float, outcome) -> SweepReco
                        value=value, status=status)
 
 
+def _csv_scalar(value) -> str:
+    """A float, numpy's included, as its ``float.__repr__``, which is also
+    what JSON writes for it; anything else as its ``repr``."""
+    return float.__repr__(value) if isinstance(value, float) else repr(value)
+
+
 def to_csv(records) -> str:
     """Render records as CSV. Floats use shortest round-trip formatting;
     non-ok rows leave the value column empty."""
     lines = [CSV_HEADER]
     for rec in records:
-        value = repr(rec.value) if rec.status == "ok" else ""
-        lines.append(",".join((repr(rec.lam), repr(rec.tau1), repr(rec.tau2),
-                               repr(rec.phi), value, rec.status)))
+        lam, t1, t2, phi, value = rec.lam, rec.tau1, rec.tau2, rec.phi, rec.value
+        if float is type(lam) is type(t1) is type(t2) is type(phi) is type(value) and (
+                rec.status == "ok"):  # a float's repr is its float.__repr__
+            lines.append(f"{lam!r},{t1!r},{t2!r},{phi!r},{value!r},ok")
+        else:
+            value = _csv_scalar(value) if rec.status == "ok" else ""
+            lines.append(",".join((*map(_csv_scalar, (lam, t1, t2, phi)), value, rec.status)))
     return "\n".join(lines) + "\n"
 
 
@@ -269,10 +293,10 @@ _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in _JSON_FIELDS) + "
 
 def _json_scalar(value) -> str:
     """``json.dumps(value)``; a finite float is its ``float.__repr__``, which
-    is what json writes for it."""
+    is what json writes for it, and None is null."""
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
-    return json.dumps(value)
+    return "null" if value is None else json.dumps(value)
 
 
 def to_json(records) -> str:
@@ -282,9 +306,17 @@ def to_json(records) -> str:
     byte, written directly: with an indent, json runs its pure-Python
     encoder.
     """
-    rows = ",\n".join(_JSON_ROW % tuple(map(_json_scalar, (
-        rec.lam, rec.tau1, rec.tau2, rec.phi, rec.value, rec.status))) for rec in records)
-    return f"[\n{rows}\n]\n" if rows else "[]\n"
+    rows = []
+    for rec in records:
+        lam, t1, t2, phi, value = rec.lam, rec.tau1, rec.tau2, rec.phi, rec.value
+        if float is type(lam) is type(t1) is type(t2) is type(phi) is type(value) and (
+                math.isfinite(lam + t1 + t2 + phi + value) and rec.status in _STATUSES):
+            # five floats with a finite sum are finite: json writes their repr
+            rows.append(_JSON_ROW % (repr(lam), repr(t1), repr(t2), repr(phi), repr(value),
+                                     f'"{rec.status}"'))
+        else:
+            rows.append(_JSON_ROW % tuple(map(_json_scalar, (lam, t1, t2, phi, value, rec.status))))
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def records_from_json(text: str) -> list:

@@ -14,13 +14,15 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngtmsv
 from ngtmsv.cli import main
-from ngtmsv.errors import UsageError
+from ngtmsv import sweep
+from ngtmsv.errors import ParameterError, UsageError
 from ngtmsv.sweep import (
     CSV_HEADER,
     FIGURES,
@@ -163,10 +165,49 @@ class TestSweepRequest:
             SweepRequest(**kw)
 
     def test_tau_pair_rejected_for_presets(self):
-        req = SweepRequest(quantity="probability", lam_axis=Axis.scalar(0.5),
-                           preset="sym-ps-1", tau_pair=(0.6, 0.8))
-        with pytest.raises(UsageError, match="--photons"):
-            req.spec_for(0.5)
+        # at construction, also when an empty lambda axis asks for no spec
+        for lam_axis in (Axis.scalar(0.5), Axis(())):
+            with pytest.raises(UsageError, match="--photons"):
+                SweepRequest(quantity="probability", lam_axis=lam_axis,
+                             preset="sym-ps-1", tau_pair=(0.6, 0.8))
+
+
+class TestPresetSpecs:
+    def _request(self, taus):
+        return SweepRequest(quantity="probability", lam_axis=Axis((0.5,)),
+                            tau_axis=Axis(taus), preset="asym-pa-1")
+
+    def test_repeated_row_builds_no_spec(self):
+        sweep._preset_spec.cache_clear()
+        req = self._request(parse_axis("0.01:0.99:101", "tau").values)
+        first = run_sweep(req)
+        assert sweep._preset_spec.cache_info().misses == 101
+        assert run_sweep(req) == first
+        assert sweep._preset_spec.cache_info().misses == 101
+        assert sweep._preset_spec.cache_parameters()["maxsize"] == 256
+
+    @pytest.mark.parametrize("tau", [[0.5], {0.5}, "0.5", None, True, 1.5, 0.0, math.nan])
+    def test_malformed_tau_raises_before_the_memo(self, tau):
+        # an unhashable tau must not reach the lookup as a bare TypeError
+        req = self._request((0.5,))
+        sweep._preset_spec.cache_clear()
+        with pytest.raises(ParameterError, match="tau"):
+            req.spec_for(tau)
+        info = sweep._preset_spec.cache_info()
+        assert info.hits + info.misses == 0
+
+    def test_equal_taus_of_other_types_keep_their_own_spec(self):
+        taus = (1, 1.0, np.float64(1.0))
+        sweep._preset_spec.cache_clear()
+        specs = [self._request(taus).spec_for(tau) for tau in taus]
+        assert sweep._preset_spec.cache_info().currsize == 3
+        assert [type(spec.tau2) for spec in specs] == [int, float, np.float64]
+        records = run_sweep(self._request(taus))
+        assert [type(rec.tau2) for rec in records] == [int, float, np.float64]
+        assert [line.split(",")[2] for line in to_csv(records).splitlines()[1:]] == [
+            "1", "1.0", "1.0"]
+        assert [row["tau2"] for row in json.loads(to_json(records))] == [1, 1.0, 1.0]
+        assert '"tau2": 1,' in to_json(records)
 
 
 class TestRunSweep:
@@ -213,6 +254,22 @@ class TestTables:
         text = to_csv(run_sweep(req))
         assert text == (CSV_HEADER + "\n"
                         "0.5,1.0,0.5,0.01,0.12244897959183677,ok\n")
+
+    @pytest.mark.parametrize("quantity", ["probability", "weighted_merit"])
+    def test_numpy_floats_are_written_as_floats(self, quantity):
+        # numpy 2's repr of a float64 is not a number; both writers write
+        # float.__repr__, so the text is that of the same Python floats
+        def request(real):
+            return SweepRequest(quantity=quantity, lam_axis=Axis((real(0.5),)),
+                                tau_axis=Axis((real(0.5), real(1.0))),
+                                phi_axis=Axis((real(0.01),)), preset="asym-pa-1")
+
+        records = run_sweep(request(np.float64))
+        assert type(records[0].lam) is type(records[0].tau2) is np.float64
+        plain = run_sweep(request(float))
+        assert to_csv(records) == to_csv(plain)
+        assert to_json(records) == to_json(plain)
+        assert to_csv(records).splitlines()[1].startswith("0.5,1.0,0.5,0.01,")
 
     def test_csv_leaves_failed_values_empty(self):
         req = SweepRequest(quantity="qfi", lam_axis=Axis((0.0,)),
