@@ -183,9 +183,8 @@ class SweepRequest:
 
 @functools.lru_cache(maxsize=256, typed=True)
 def _preset_spec(kind: str, n: int, tau) -> NGOperationSpec:
-    """``operation_from_table(kind, n, tau)``, kept per value and type of
-    tau, so that a record keeps the tau it was given. Callers check tau
-    first: a lookup must not hash what is not a number."""
+    """``operation_from_table(kind, n, tau)``, kept per value and type of tau (a record
+    keeps the tau it was given). Callers check tau first, so only numbers are hashed."""
     return operation_from_table(kind, n, tau)
 
 
@@ -261,13 +260,11 @@ def _record(lam: float, spec: NGOperationSpec, phi: float, outcome) -> SweepReco
         raise outcome
     else:
         value, status = outcome, "ok"
-    return SweepRecord(lam=lam, tau1=spec.tau1, tau2=spec.tau2, phi=phi,
-                       value=value, status=status)
+    return SweepRecord(lam, spec.tau1, spec.tau2, phi, value, status)
 
 
 def _csv_scalar(value) -> str:
-    """A float, numpy's included, as its ``float.__repr__``, which is also
-    what JSON writes for it; anything else as its ``repr``."""
+    """A float, numpy's included, as JSON writes it (``float.__repr__``), else its ``repr``."""
     return float.__repr__(value) if isinstance(value, float) else repr(value)
 
 

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngtmsv
-from ngtmsv.cli import main
 from ngtmsv import sweep
+from ngtmsv.cli import main
 from ngtmsv.errors import ParameterError, UsageError
 from ngtmsv.sweep import (
     CSV_HEADER,
