@@ -10,9 +10,10 @@ aborting the sweep.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,8 +26,7 @@ from .errors import (
     StationaryPointError,
     UsageError,
 )
-from .model import (NGOperationSpec, _KIND_ROWS, _check_tau, _is_real, operation_from_table,
-                    tmsv_spec)
+from .model import NGOperationSpec, _KIND_ROWS, _is_real, operation_from_table, tmsv_spec
 from .series import _is_count
 
 QUANTITIES = (
@@ -177,15 +177,7 @@ class SweepRequest:
         kind, n = parse_preset(self.preset)
         if kind is None:
             return tmsv_spec()
-        _check_tau("tau", tau)
-        return _preset_spec(kind, n, tau)
-
-
-@functools.lru_cache(maxsize=256, typed=True)
-def _preset_spec(kind: str, n: int, tau) -> NGOperationSpec:
-    """``operation_from_table(kind, n, tau)``, kept per value and type of tau (a record
-    keeps the tau it was given). Callers check tau first, so only numbers are hashed."""
-    return operation_from_table(kind, n, tau)
+        return operation_from_table(kind, n, tau)
 
 
 def _axis_values(axis, key: str) -> tuple:
@@ -233,9 +225,9 @@ def run_sweep(request: SweepRequest) -> list:
     that is not a status is raised from the first point in grid order that
     raises it.
     """
-    # the request has checked its preset and every tau
+    # the preset is parsed once per request, not once per tau
     kind, n = (None, 0) if request.preset is None else parse_preset(request.preset)
-    specs = [request.spec_for(tau) if kind is None else _preset_spec(kind, n, tau)
+    specs = [request.spec_for(tau) if kind is None else operation_from_table(kind, n, tau)
              for tau in request.tau_axis.values]
     size = analytics._chunk_states(specs[0]) if specs else 1
     phis = request.phi_axis.values
@@ -263,6 +255,18 @@ def _record(lam: float, spec: NGOperationSpec, phi: float, outcome) -> SweepReco
     return SweepRecord(lam, spec.tau1, spec.tau2, phi, value, status)
 
 
+_FIELDS = operator.attrgetter("lam", "tau1", "tau2", "phi", "value", "status")
+
+
+def _plain(rows: list) -> bool:
+    """Whether the (lam, tau1, tau2, phi, value, status) rows hold only 'ok' and finite
+    Python floats (those of a finite sum), each then written as its ``repr``."""
+    columns = tuple(zip(*rows))
+    return (bool(columns) and set(columns[5]) == {"ok"}
+            and set(map(type, itertools.chain(*columns[:5]))) == {float}
+            and math.isfinite(sum(map(sum, columns[:5]))))
+
+
 def _csv_scalar(value) -> str:
     """A float, numpy's included, as JSON writes it (``float.__repr__``), else its ``repr``."""
     return float.__repr__(value) if isinstance(value, float) else repr(value)
@@ -271,29 +275,29 @@ def _csv_scalar(value) -> str:
 def to_csv(records) -> str:
     """Render records as CSV. Floats use shortest round-trip formatting;
     non-ok rows leave the value column empty."""
-    lines = [CSV_HEADER]
-    for rec in records:
-        lam, t1, t2, phi, value = rec.lam, rec.tau1, rec.tau2, rec.phi, rec.value
-        if float is type(lam) is type(t1) is type(t2) is type(phi) is type(value) and (
-                rec.status == "ok"):  # a float's repr is its float.__repr__
-            lines.append(f"{lam!r},{t1!r},{t2!r},{phi!r},{value!r},ok")
-        else:
-            value = _csv_scalar(value) if rec.status == "ok" else ""
-            lines.append(",".join((*map(_csv_scalar, (lam, t1, t2, phi)), value, rec.status)))
-    return "\n".join(lines) + "\n"
+    rows = list(map(_FIELDS, records))
+    if _plain(rows):
+        lines = [f"{lam!r},{t1!r},{t2!r},{phi!r},{value!r},ok"
+                 for lam, t1, t2, phi, value, _ in rows]
+    else:
+        lines = [",".join((*map(_csv_scalar, (lam, t1, t2, phi)),
+                           _csv_scalar(value) if status == "ok" else "", status))
+                 for lam, t1, t2, phi, value, status in rows]
+    return "\n".join((CSV_HEADER, *lines)) + "\n"
 
 
 _STATUSES = ("ok", "degenerate", "stationary")
 _JSON_FIELDS = ("lambda", "tau1", "tau2", "phi", "value", "status")
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in _JSON_FIELDS) + "\n  }"
+_JSON_PLAIN_ROW = _JSON_ROW % (("%r",) * 5 + ('"%s"',))
 
 
 def _json_scalar(value) -> str:
     """``json.dumps(value)``; a finite float is its ``float.__repr__``, which
-    is what json writes for it, and None is null."""
+    is what json writes for it."""
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
-    return "null" if value is None else json.dumps(value)
+    return json.dumps(value)
 
 
 def to_json(records) -> str:
@@ -303,17 +307,12 @@ def to_json(records) -> str:
     byte, written directly: with an indent, json runs its pure-Python
     encoder.
     """
-    rows = []
-    for rec in records:
-        lam, t1, t2, phi, value = rec.lam, rec.tau1, rec.tau2, rec.phi, rec.value
-        if float is type(lam) is type(t1) is type(t2) is type(phi) is type(value) and (
-                math.isfinite(lam + t1 + t2 + phi + value) and rec.status in _STATUSES):
-            # five floats with a finite sum are finite: json writes their repr
-            rows.append(_JSON_ROW % (repr(lam), repr(t1), repr(t2), repr(phi), repr(value),
-                                     f'"{rec.status}"'))
-        else:
-            rows.append(_JSON_ROW % tuple(map(_json_scalar, (lam, t1, t2, phi, value, rec.status))))
-    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+    rows = list(map(_FIELDS, records))
+    if _plain(rows):
+        text = ",\n".join(map(_JSON_PLAIN_ROW.__mod__, rows))
+    else:
+        text = ",\n".join(_JSON_ROW % tuple(map(_json_scalar, row)) for row in rows)
+    return f"[\n{text}\n]\n" if text else "[]\n"
 
 
 def records_from_json(text: str) -> list:

@@ -1036,16 +1036,15 @@ class TestStateCache:
     def test_shape_plans_are_shared_and_read_only(self):
         # every lru_cache of the package is bounded (the Fock oracle, a test
         # reference, aside). The per-shape plans depend only on the photon
-        # numbers, and a sweep row's specs only on its preset and taus:
-        # after a sym-pc-1 probe and a sym-pc-2 merit row, a second state of
-        # each shape and a second row adds no cache miss (the kept state is
-        # keyed by state). The plans' arrays are shared, so none can be
-        # written: each cached value is read on the miss that stores it,
-        # with the caches empty
+        # numbers: after a sym-pc-1 probe and a sym-pc-2 merit row, a second
+        # state of each shape adds no cache miss (the kept state is keyed by
+        # state). The plans' arrays are shared, so none can be written: each
+        # cached value is read on the miss that stores it, with the caches
+        # empty
         caches = {name: fn for module in (series, model, analytics, sweep)
                   for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
         assert {"_levels", "_pair_plan", "_dense_index", "_circle_rule",
-                "_power_plan", "_moment_plan", "_heralding", "_preset_spec"} <= set(caches)
+                "_power_plan", "_moment_plan", "_heralding"} <= set(caches)
         assert all(fn.cache_parameters()["maxsize"] for fn in caches.values())
         indices = [i for i in itertools.product(range(3), repeat=4) if sum(i) <= 2]
 

@@ -16,13 +16,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ngtmsv
-from ngtmsv import sweep
 from ngtmsv.cli import main
-from ngtmsv.errors import ParameterError, UsageError
+from ngtmsv.errors import UsageError
 from ngtmsv.sweep import (
     CSV_HEADER,
     FIGURES,
@@ -172,44 +171,6 @@ class TestSweepRequest:
                              preset="sym-ps-1", tau_pair=(0.6, 0.8))
 
 
-class TestPresetSpecs:
-    def _request(self, taus):
-        return SweepRequest(quantity="probability", lam_axis=Axis((0.5,)),
-                            tau_axis=Axis(taus), preset="asym-pa-1")
-
-    def test_repeated_row_builds_no_spec(self):
-        sweep._preset_spec.cache_clear()
-        req = self._request(parse_axis("0.01:0.99:101", "tau").values)
-        first = run_sweep(req)
-        assert sweep._preset_spec.cache_info().misses == 101
-        assert run_sweep(req) == first
-        assert sweep._preset_spec.cache_info().misses == 101
-        assert sweep._preset_spec.cache_parameters()["maxsize"] == 256
-
-    @pytest.mark.parametrize("tau", [[0.5], {0.5}, "0.5", None, True, 1.5, 0.0, math.nan])
-    def test_malformed_tau_raises_before_the_memo(self, tau):
-        # an unhashable tau must not reach the lookup as a bare TypeError
-        req = self._request((0.5,))
-        sweep._preset_spec.cache_clear()
-        with pytest.raises(ParameterError, match="tau"):
-            req.spec_for(tau)
-        info = sweep._preset_spec.cache_info()
-        assert info.hits + info.misses == 0
-
-    def test_equal_taus_of_other_types_keep_their_own_spec(self):
-        taus = (1, 1.0, np.float64(1.0))
-        sweep._preset_spec.cache_clear()
-        specs = [self._request(taus).spec_for(tau) for tau in taus]
-        assert sweep._preset_spec.cache_info().currsize == 3
-        assert [type(spec.tau2) for spec in specs] == [int, float, np.float64]
-        records = run_sweep(self._request(taus))
-        assert [type(rec.tau2) for rec in records] == [int, float, np.float64]
-        assert [line.split(",")[2] for line in to_csv(records).splitlines()[1:]] == [
-            "1", "1.0", "1.0"]
-        assert [row["tau2"] for row in json.loads(to_json(records))] == [1, 1.0, 1.0]
-        assert '"tau2": 1,' in to_json(records)
-
-
 class TestRunSweep:
     def test_grid_order(self):
         req = SweepRequest(quantity="probability",
@@ -303,6 +264,18 @@ class TestTables:
         assert text == json.dumps(payload, indent=2) + "\n"
         # repr tells -0.0 from 0.0 and compares nan with nan
         assert repr(records_from_json(text)) == repr(records)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(
+        SweepRecord, _FLOATS, _FLOATS, _FLOATS, _FLOATS, _FLOATS,
+        st.sampled_from(["ok", "ok", "degenerate"])), max_size=4))
+    @example([SweepRecord(0.5, 1.0, 0.5, 0.01, 0.25, "ok"),
+              SweepRecord(0.5, 1.0, 0.6, 0.01, 0.25, "degenerate")])
+    def test_csv_writes_each_float_by_repr(self, records):
+        lines = [",".join((repr(r.lam), repr(r.tau1), repr(r.tau2), repr(r.phi),
+                           repr(r.value) if r.status == "ok" else "", r.status))
+                 for r in records]
+        assert to_csv(records) == "\n".join((CSV_HEADER, *lines)) + "\n"
 
     @pytest.mark.parametrize("text, match", [
         ("[1]", "row 0 is not an object"),
