@@ -225,7 +225,6 @@ def run_sweep(request: SweepRequest) -> list:
     that is not a status is raised from the first point in grid order that
     raises it.
     """
-    # the preset is parsed once per request, not once per tau
     kind, n = (None, 0) if request.preset is None else parse_preset(request.preset)
     specs = [request.spec_for(tau) if kind is None else operation_from_table(kind, n, tau)
              for tau in request.tau_axis.values]
