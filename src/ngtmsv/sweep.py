@@ -261,7 +261,7 @@ def _plain(rows: list) -> bool:
     """Whether the (lam, tau1, tau2, phi, value, status) rows hold only 'ok' and finite
     Python floats (those of a finite sum), each then written as its ``repr``."""
     columns = tuple(zip(*rows))
-    return (bool(columns) and set(columns[5]) == {"ok"}
+    return (bool(columns) and columns[5].count("ok") == len(rows)
             and set(map(type, itertools.chain(*columns[:5]))) == {float}
             and math.isfinite(sum(map(sum, columns[:5]))))
 
