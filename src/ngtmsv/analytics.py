@@ -44,6 +44,7 @@ from .model import (
     NGOperationSpec,
     _PROB_SIGNS,
     _check_lambda,
+    _is_double,
     _is_real,
     _parity_norm,
     derive_params,
@@ -130,17 +131,17 @@ def _as_spec(spec):
 
 
 def _as_lambda(lam):
-    """``lam`` once it is checked to be a real number: public entry points
-    check it before it becomes a cache key."""
-    if not _is_real(lam):
-        raise ParameterError(f"lambda must be a real number, got {lam!r}")
+    """``lam`` once it is checked to be a real number in double precision:
+    public entry points check it before it becomes a cache key."""
+    if not _is_double(lam):
+        raise ParameterError(f"lambda must be a real number in double precision, got {lam!r}")
     return lam
 
 
 def _as_phase(phi):
-    """``phi`` once it is checked to be a finite real number."""
-    if not (_is_real(phi) and math.isfinite(phi)):
-        raise ParameterError(f"phi must be a finite real number, got {phi!r}")
+    """``phi`` once it is checked to be a finite real number in double precision."""
+    if not (_is_double(phi) and math.isfinite(phi)):
+        raise ParameterError(f"phi must be a finite real number in double precision, got {phi!r}")
     return phi
 
 
@@ -550,27 +551,28 @@ def parity_expectation(lam: float, spec: NGOperationSpec, phi):
     ``phi`` may be a float (returns float) or a :class:`Dual` seeded with
     d(phi)/d(parameter) (returns the signal and its derivative).
     """
-    for part in (phi.value, phi.deriv) if isinstance(phi, Dual) else (phi,):
+    slope = isinstance(phi, Dual)
+    for part in (phi.value, phi.deriv) if slope else (phi,):
         _as_phase(part)
     state = _heralding(_as_lambda(lam), _as_spec(spec))
-    f, df, faults = _parity(state.batch, phi)
+    f, df, faults = _parity(state.batch, phi.value if slope else phi, slope)
     value = _pick(f, faults, state.index)
-    return value if df is None else Dual(value, float(df[state.index]))
+    return Dual(value, float(df[state.index] * phi.deriv)) if slope else value
 
 
-def _parity(batch: _Batch, phi) -> tuple:
-    """The parity signal of every state of a batch, normalized by its
-    probability core: ``(f, df, faults)``, where ``df`` is the derivative
-    for a :class:`Dual` ``phi`` (else None) and ``faults`` holds per state
-    the error its evaluation raises, or None.
+def _parity(batch: _Batch, phi: float, slope: bool) -> tuple:
+    """The parity signal of every state of a batch at the phase ``phi``,
+    normalized by its probability core: ``(f, df, faults)``, where ``df`` is
+    its phase derivative if ``slope`` is set (else None) and ``faults`` holds
+    per state the error its evaluation raises, or None.
 
     <Pi> = pi * integral of W(N eta) d eta over the detection plane, where
     N's columns are (c, 0, s, 0) and (0, c, 0, s) with (c, s) = (cos, sin)
     of phi/2. The Gaussian factor is exp(eta^T A eta) with A = N^T S N =
     diag(S11 + S13 sin phi, S22 + S24 sin phi), and sqrt(det(-A)) =
     norm / base_norm, so <Pi> = base_norm * num / (norm * core) with the
-    numerator ``num`` of :func:`_parity_numerator`. The quotient is the
-    arithmetic of :class:`Dual`, written out per batch entry.
+    numerator ``num`` of :func:`_parity_numerator`, and ``df`` is the
+    quotient rule on that, per batch entry.
 
     The slope at a fringe top: a heralded state has the definite photon
     number difference (m1 - n1) - (m2 - n2). When the photon total, and so
@@ -585,25 +587,18 @@ def _parity(batch: _Batch, phi) -> tuple:
     faults = list(batch.faults)
     _fail(faults, den / params.base_norm < _PROB_FLOOR,
           lambda b: DegenerateOperationError(_floor_message("parity signal")))
-    at = phi.value if isinstance(phi, Dual) else phi
-    top = (isinstance(phi, Dual) and batch.specs[0].total_photons % 2 == 0
-           and abs(math.cos(at)) <= _TOP_WINDOW)
-    order = 2 if top else 1 if isinstance(phi, Dual) else 0
-    series = _parity_numerator(batch, at, order, faults)
+    top = (slope and batch.specs[0].total_photons % 2 == 0
+           and abs(math.cos(phi)) <= _TOP_WINDOW)
+    series = _parity_numerator(batch, phi, 2 if top else 1 if slope else 0, faults)
     num = _real_parts(series[:, 0], "parity numerator", faults)
-    norm = _parity_norm(params, phi)
+    if slope:
+        dnum = _real_parts(2.0 * series[:, 2] * (-math.cos(phi) * math.sin(phi)) if top
+                           else series[:, 1], "parity numerator derivative", faults)
+    norm, d_norm = _parity_norm(params, phi)
     # a state with a fault may divide by zero here; its entries are not read
     with np.errstate(divide="ignore", invalid="ignore"):
-        if isinstance(phi, Dual):
-            slope = (2.0 * series[:, 2] * (-math.cos(at) * math.sin(at)) if top
-                     else series[:, 1])
-            dnum = _real_parts(slope * phi.deriv, "parity numerator derivative", faults)
-            top_v, top_d = num * params.base_norm, dnum * params.base_norm
-            bottom_v, bottom_d = norm.value * den, norm.deriv * den
-            f = top_v / bottom_v
-            df = (top_d - f * bottom_d) / bottom_v
-        else:
-            f, df = params.base_norm * num / (norm * den), None
+        f = params.base_norm * num / (norm * den)
+        df = (dnum * params.base_norm - f * (d_norm * den)) / (norm * den) if slope else None
     mag = np.abs(f)
     _fail(faults, mag > 1.0 + _PARITY_SLACK, lambda b: ConsistencyError(
         f"parity signal magnitude {float(mag[b])} exceeds 1"))
@@ -657,9 +652,11 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     rot = np.array([[c, 0.0], [0.0, c], [s, 0.0], [0.0, s]])
     rots = np.array([rot, 0.5 * np.array([[-s, 0.0], [0.0, -s], [c, 0.0], [0.0, c]]),
                      -0.125 * rot])
-    # the series of l = C N L z per direction, with its terms reversed: the
-    # Cauchy product's term k reads terms k, k - 1, ..., 0 of it in order
-    m = np.einsum("eab,xdeb->xdab", rots[:terms], _toeplitz(scales[:, :terms]))
+    # the series of N L, term d the sum over e <= d of rots[e] scales[d - e],
+    # and of l = C N L z per direction, with its terms reversed: the Cauchy
+    # product's term k reads terms k, k - 1, ..., 0 of it in order
+    m = np.stack([np.einsum("eab,xeb->xab", rots[:d + 1], scales[:, d::-1])
+                  for d in range(terms)], axis=1)
     m = np.einsum("xva,xdab->xdvb", coupling, m)
     sums = np.empty((len(m), terms), dtype=np.complex128)
     size = _slice_states(batch, terms)
@@ -753,17 +750,6 @@ def _slice_states(batch: _Batch, terms: int) -> int:
     return -(-len(batch.specs) // passes)
 
 
-def _toeplitz(series: np.ndarray) -> np.ndarray:
-    """t[..., d, e, :] = series[..., d - e, :] for e <= d, and 0 above.
-    Summing e against another truncated Taylor series (on the second last
-    axis) gives their Cauchy product."""
-    terms = series.shape[-2]
-    out = np.zeros(series.shape[:-1] + (terms,) + series.shape[-1:], dtype=series.dtype)
-    for e in range(terms):
-        out[..., e:, e, :] = series[..., :terms - e, :]
-    return out
-
-
 @functools.lru_cache(maxsize=64)
 def _circle_rule(n: int) -> np.ndarray:
     """The n directions (cos theta, sin theta), theta = pi k / n for k < n,
@@ -792,7 +778,7 @@ def phase_sensitivity(lam: float, spec: NGOperationSpec, phi: float) -> float:
 
 def _sensitivity(batch: _Batch, phi: float) -> tuple:
     """delta_phi of every state of a batch, and the faults of :func:`_parity`."""
-    f, slope, faults = _parity(batch, Dual(phi + math.pi / 2.0, 1.0))
+    f, slope, faults = _parity(batch, phi + math.pi / 2.0, True)
     _fail(faults, np.abs(slope) < _SLOPE_FLOOR, lambda b: StationaryPointError(
         f"parity slope {slope[b]:.3e} vanishes at phi={phi}; sensitivity undefined"))
     variance = 1.0 - f * f
@@ -889,7 +875,7 @@ def _phase_outcomes(quantity: str, batch: _Batch, lam: float, phi: float) -> lis
     """A phase quantity of every state of a batch at ``phi``, or the error
     of each state, in the order the per-point function raises them."""
     if quantity == "parity":
-        values, _, faults = _parity(batch, phi)
+        values, _, faults = _parity(batch, phi, False)
     else:
         if quantity != "sensitivity":
             try:
@@ -938,7 +924,7 @@ def sensitivity_report(lam: float, spec: NGOperationSpec,
     """Compute all figures of merit at one operating point."""
     phi = _as_phase(phi)
     state = _heralding(_as_lambda(lam), _as_spec(spec))
-    f, _, faults = _parity(state.batch, phi)
+    f, _, faults = _parity(state.batch, phi, False)
     parity = _pick(f, faults, state.index)
     dphi = _pick(*_sensitivity(state.batch, phi), state.index)
     fisher = _qfi(_j2(state))

@@ -2,8 +2,8 @@
 
 A :class:`Dual` carries a value and the derivative of that value with respect
 to one scalar parameter. Arithmetic propagates derivatives exactly (no step
-size), which is what the phase-sensitivity code uses to differentiate the
-parity signal with respect to the interferometer phase.
+size). The public parity functions take a Dual phase to differentiate the
+signal, and the dense reference engine takes Dual form entries.
 """
 
 from __future__ import annotations

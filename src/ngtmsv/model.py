@@ -102,9 +102,15 @@ def _is_real(v) -> bool:
     return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _is_double(v) -> bool:
+    """Whether ``v`` is a real number that computes in double precision: a
+    narrower numpy float keeps its precision beside a Python float (NEP 50)."""
+    return type(v) is float or _is_real(v) and not (isinstance(v, np.floating) and v.itemsize < 8)
+
+
 def _check_tau(name: str, tau) -> None:
-    if not _is_real(tau):
-        raise ParameterError(f"{name} must be a real number, got {tau!r}")
+    if not _is_double(tau):
+        raise ParameterError(f"{name} must be a real number in double precision, got {tau!r}")
     if not (0.0 < tau <= 1.0):
         raise ParameterError(f"{name} must lie in (0, 1], got {tau!r}")
 
@@ -163,8 +169,8 @@ class ModelParams:
 
 
 def _check_lambda(lam) -> None:
-    if not _is_real(lam):
-        raise ParameterError(f"lambda must be a real number, got {lam!r}")
+    if not _is_double(lam):
+        raise ParameterError(f"lambda must be a real number in double precision, got {lam!r}")
     if not (0.0 <= lam < 1.0):
         raise ParameterError(f"lambda must lie in [0, 1), got {lam!r}")
 
@@ -375,24 +381,21 @@ def parity_aux(p: ModelParams, phi) -> ParityAux:
     w[19] = (lam ** 3) * r2 * r2 * s2 * t1 ** 3 * t2
     w[20] = c1 * lam * lam * r2 * r2 * t1 * t1 * (ltt + 1.0)
 
-    return ParityAux(phi=phi, norm=_parity_norm(p, phi), weights=tuple(w))
+    dual = isinstance(phi, Dual)
+    norm, d_norm = _parity_norm(p, phi.value if dual else phi)
+    return ParityAux(phi=phi, norm=Dual(norm, d_norm * phi.deriv) if dual else norm,
+                     weights=tuple(w))
 
 
-def _parity_norm(p: ModelParams, phi):
-    """The Gaussian normalization of the parity overlap at phase ``phi``
-    (a float, or a :class:`Dual` for its phase derivative too). The
-    parameters may be a batch; the derivative is the chain rule that
-    :class:`Dual` arithmetic applies, written out in the same order."""
+def _parity_norm(p: ModelParams, phi: float) -> tuple:
+    """The Gaussian normalization of the parity overlap at phase ``phi`` and
+    its phase derivative. The parameters may be a batch."""
     lam = p.lam
     x = lam * lam * (p.tau1 * p.tau2)
-    at, seed = (phi.value, phi.deriv) if isinstance(phi, Dual) else (phi, 0.0)
-    inner = 1.0 + (2 * math.cos(2 * at) + x) * x
+    inner = 1.0 + (2 * math.cos(2 * phi) + x) * x
     root = np.sqrt(inner) if isinstance(inner, np.ndarray) else math.sqrt(inner)
-    norm = root / (1.0 - lam * lam)
-    if not isinstance(phi, Dual):
-        return norm
-    d_inner = -math.sin(2 * at) * (seed * 2) * 2 * x
-    return Dual(norm, d_inner / (2 * root) / (1.0 - lam * lam))
+    d_inner = -4.0 * math.sin(2 * phi) * x
+    return root / (1.0 - lam * lam), d_inner / (2 * root) / (1.0 - lam * lam)
 
 
 def parity_form(p: ModelParams, aux: ParityAux):

@@ -26,7 +26,8 @@ from .errors import (
     StationaryPointError,
     UsageError,
 )
-from .model import NGOperationSpec, _KIND_ROWS, _is_real, operation_from_table, tmsv_spec
+from .model import (
+    NGOperationSpec, _KIND_ROWS, _is_double, _is_real, operation_from_table, tmsv_spec)
 from .series import _is_count
 
 QUANTITIES = (
@@ -51,12 +52,15 @@ class Axis:
 
     @classmethod
     def scalar(cls, value: float) -> "Axis":
-        return cls((float(value),))
+        return cls.linear(value, value, 1)
 
     @classmethod
     def linear(cls, start: float, stop: float, count: int) -> "Axis":
-        if count < 1:
-            raise UsageError(f"axis count must be >= 1, got {count}")
+        if not (_is_double(start) and _is_double(stop)):
+            raise UsageError("axis: expected real numbers in double precision, "
+                             f"got {start!r} and {stop!r}")
+        if type(count) is bool or not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise UsageError(f"axis count must be an integer >= 1, got {count!r}")
         if count == 1:
             return cls((float(start),))
         return cls(tuple(np.linspace(start, stop, count).tolist()))
@@ -148,16 +152,16 @@ class SweepRequest:
                 raise UsageError(
                     "photons: expected four non-negative integers m1,m2,n1,n2")
         for lam in _axis_values(self.lam_axis, "lambda"):
-            if not (_is_real(lam) and 0.0 <= lam < 1.0):
+            if not (_is_double(lam) and 0.0 <= lam < 1.0):
                 raise UsageError(f"lambda: must lie in [0, 1), got {lam!r}")
         if self.tau_pair is not None and not _reals(self.tau_pair, 2):
             raise UsageError(f"tau: expected a pair of real numbers t1,t2, got {self.tau_pair!r}")
         taus = _axis_values(self.tau_axis, "tau")
         for tau in self.tau_pair if self.tau_pair is not None else taus:
-            if not (_is_real(tau) and 0.0 < tau <= 1.0):
+            if not (_is_double(tau) and 0.0 < tau <= 1.0):
                 raise UsageError(f"tau: must lie in (0, 1], got {tau!r}")
         for phi in _axis_values(self.phi_axis, "phi"):
-            if not (_is_real(phi) and math.isfinite(phi)):
+            if not (_is_double(phi) and math.isfinite(phi)):
                 raise UsageError(f"phi: must be a finite real number, got {phi!r}")
         if self.quantity == "wigner":
             if self.point is None:
@@ -182,11 +186,16 @@ class SweepRequest:
 
 def _axis_values(axis, key: str) -> tuple:
     """The values of an axis field, once it is checked to be an Axis whose
-    values are iterable."""
+    values are iterable and hold no real number narrower than double
+    precision (see :func:`~ngtmsv.model._is_double`)."""
     try:
-        return tuple(axis.values)
+        values = tuple(axis.values)
     except (AttributeError, TypeError):
         raise UsageError(f"{key}: expected an Axis of values, got {axis!r}") from None
+    for value in values:
+        if not _is_double(value) and _is_real(value):
+            raise UsageError(f"{key}: {value!r} is narrower than double precision")
+    return values
 
 
 def _reals(values, count: int) -> bool:

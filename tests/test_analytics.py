@@ -334,6 +334,30 @@ class TestParitySignal:
         assert fd.value == pytest.approx(parity_expectation(lam, spec, phi))
         assert fd.deriv == pytest.approx((hi - lo) / (2 * h), rel=1e-8)
 
+    @pytest.mark.parametrize("spec, at", [
+        (operation_from_table("sym-pa", 1, 0.7), 0.6),
+        (operation_from_table("asym-pc", 2, 0.4), 2.3),
+        (operation_from_table("sym-pc", 1, 0.7), math.pi / 2 + 5e-10),  # a fringe top
+        (tmsv_spec(), 0.3),
+    ], ids=["sym-pa-1", "asym-pc-2", "sym-pc-1-top", "tmsv"])
+    def test_dual_seed_scales_the_derivative(self, spec, at):
+        # the seed is d(phi)/d(parameter), so it scales the derivative at
+        # seed 1: exactly for a power of two, to rounding for another seed
+        lam = 0.5
+        params = derive_params(lam, spec)
+        unit = (parity_expectation(lam, spec, Dual(at, 1.0)),
+                parity_aux(params, Dual(at, 1.0)).norm)
+        for seed in (2.0, 0.1):
+            got = (parity_expectation(lam, spec, Dual(at, seed)),
+                   parity_aux(params, Dual(at, seed)).norm)
+            for g, u in zip(got, unit):
+                assert g.value == u.value
+                if seed == 2.0:
+                    assert g.deriv == 2.0 * u.deriv, (seed, g, u)
+                else:
+                    assert abs(g.deriv - seed * u.deriv) <= 1e-15 * abs(seed * u.deriv), (
+                        seed, g, u)
+
     def test_matches_oracle(self):
         cases = [
             (0.5, operation_from_table("asym-ps", 1, 0.6), 0.3),
@@ -1127,10 +1151,27 @@ class TestParameterTypes:
         lambda: PhaseSpacePoint(True, 0.0, 0.0, 0.0),
         lambda: moment(0.5, _ASYM_PA, (True, 0, 0, 1)),
         lambda: operation_from_table(3, 1, 0.5),
+        # numpy keeps a float32's precision beside a Python float (NEP 50),
+        # so such a lambda, tau or phi would compute in single precision
+        lambda: success_probability(np.float32(0.5), _ASYM_PA),
+        lambda: qfi(np.float16(0.5), _ASYM_PA),
+        lambda: derive_params(np.float32(0.5), _ASYM_PA),
+        lambda: merit(0.5, _ASYM_PA, np.float32(0.01)),
+        lambda: phase_sensitivity(0.5, _ASYM_PA, np.float16(0.01)),
+        lambda: parity_expectation(0.5, _ASYM_PA, Dual(np.float32(0.3), 1.0)),
+        lambda: parity_expectation(0.5, _ASYM_PA, Dual(0.3, np.float32(1.0))),
+        lambda: NGOperationSpec(0, 1, 0, 0, 1.0, np.float32(0.5)),
+        lambda: operation_from_table("asym-pa", 1, np.float16(0.5)),
+        lambda: analytics.evaluate_chunk("probability", np.float32(0.5), [_ASYM_PA], [0.01]),
+        lambda: analytics.evaluate_chunk("merit", 0.5, [_ASYM_PA], [np.float32(0.01)]),
     ], ids=["complex-lambda", "str-tau-table", "str-tau-spec", "str-phi-merit",
             "none-phi", "array-lambda", "bool-photons-spec", "bool-photons-table",
             "bool-tau-spec", "bool-tau-table", "bool-lambda", "bool-phi", "bool-point",
-            "bool-phase-space-point", "bool-moment-index", "int-kind"])
+            "bool-phase-space-point", "bool-moment-index", "int-kind",
+            "float32-lambda", "float16-lambda-qfi", "float32-lambda-params",
+            "float32-phi-merit", "float16-phi", "float32-dual-value", "float32-dual-seed",
+            "float32-tau-spec", "float16-tau-table", "float32-lambda-chunk",
+            "float32-phi-chunk"])
     def test_non_real_parameters_raise_parameter_error(self, call):
         with pytest.raises(ParameterError):
             call()
@@ -1175,6 +1216,9 @@ class TestParameterTypes:
             success_probability(0.5, spec))
         assert merit(np.float64(0.5), spec, np.float64(0.3)) == merit(0.5, spec, 0.3)
         assert qfi(np.int64(0), spec) == qfi(0, spec)
+        # a point's coordinates are converted by float(), exactly
+        point = tuple(np.float32(v) for v in (0.1, -0.2, 0.3, 0.4))
+        assert wigner(0.5, spec, point) == wigner(0.5, spec, tuple(map(float, point)))
 
 
 class TestResidueGuard:
@@ -1288,6 +1332,28 @@ class TestBatchedSweep:
         same = [NGOperationSpec(0, 1, 0, 0, 1.0, 0.6), operation_from_table("asym-pa", 1, 0.9)]
         got = analytics.evaluate_chunk("weighted_merit", 0.5, same, [0.1])
         assert got == [weighted_merit(0.5, spec, 0.1) for spec in same]
+
+    def test_phase_path_builds_no_dual(self, monkeypatch):
+        # a sweep asks _parity for its slope by a flag: no Dual on its path,
+        # also where the slope comes from the curvature at a fringe top
+        chunks = [[operation_from_table(kind, 1, tau) for tau in (0.3, 0.9)]
+                  for kind in ("asym-pc", "sym-pc")]
+        phis = [0.0, 0.01, 0.7]
+        quantities = ("sensitivity", "merit", "weighted_merit")
+        want = [analytics.evaluate_chunk(q, 0.5, specs, phis)
+                for q in quantities for specs in chunks]
+
+        class NoDual:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a Dual was built on the sweep's phase path")
+
+        monkeypatch.setattr(analytics, "Dual", NoDual)
+        monkeypatch.setattr(model, "Dual", NoDual)
+        got = [analytics.evaluate_chunk(q, 0.5, specs, phis)
+               for q in quantities for specs in chunks]
+        bits = [[repr(v) if type(v) is float else type(v) for v in row] for row in got]
+        assert bits == [[repr(v) if type(v) is float else type(v) for v in row] for row in want]
+        assert {type(v) for row in got for v in row} == {float, StationaryPointError}
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
         # a 101-point asym-pa-1 row is one chunk, and the bare-TMSV reference

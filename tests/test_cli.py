@@ -63,6 +63,24 @@ class TestParseAxis:
             with pytest.raises(UsageError, match="lambda"):
                 parse_axis(text, "lambda")
 
+    @pytest.mark.parametrize("build", [
+        lambda: Axis.linear(0, 1, 2.5), lambda: Axis.linear(0, 1, True),
+        lambda: Axis.linear(0, 1, 0), lambda: Axis.linear("0", 1, 3),
+        lambda: Axis.linear(0, np.float32(1), 3), lambda: Axis.scalar("x"),
+        lambda: Axis.scalar(None), lambda: Axis.scalar(np.float32(0.5)),
+    ], ids=["float-count", "bool-count", "zero-count", "str-start", "narrow-stop",
+            "str-scalar", "none-scalar", "narrow-scalar"])
+    def test_malformed_axes_are_usage_errors(self, build):
+        with pytest.raises(UsageError, match="axis"):
+            build()
+
+    def test_axis_values_keep_their_bits(self):
+        assert Axis.linear(0, 1, np.int64(3)) == Axis.linear(0.0, 1.0, 3) == Axis((0.0, 0.5, 1.0))
+        assert Axis.linear(np.float64(0.1), 0.5, 3) == parse_axis("0.1:0.5:3", "tau")
+        for value in (1, 0.3, np.float64(0.3)):
+            assert Axis.scalar(value).values == (float(value),)
+            assert type(Axis.scalar(value).values[0]) is float
+
 
 class TestParsePreset:
     def test_known_presets(self):
@@ -153,6 +171,10 @@ class TestSweepRequest:
         ("preset", 3), ("tau_axis", Axis((True,))),
         ("lam_axis", Axis(None)), ("lam_axis", Axis(5)), ("tau_axis", Axis(0.5)),
         ("phi_axis", None), ("lam_axis", (0.5,)),
+        # numpy keeps a float32's precision beside a Python float (NEP 50):
+        # such a value would compute in single precision and not write as JSON
+        ("lam_axis", Axis((0.25, np.float32(0.5)))), ("tau_axis", Axis((np.float16(0.5),))),
+        ("phi_axis", Axis((np.float32(0.01),))), ("tau_pair", (0.5, np.float32(0.5))),
     ])
     def test_malformed_fields_are_usage_errors(self, field, value):
         # a preset replaces the photons, so that the preset check is reached
@@ -162,6 +184,24 @@ class TestSweepRequest:
         kw[field] = value
         with pytest.raises(UsageError, match=field.split("_")[0]):
             SweepRequest(**kw)
+
+    def test_float64_values_write_as_floats(self):
+        # a numpy float64 is a Python float: the same records and text
+        def table(cast):
+            records = run_sweep(SweepRequest(
+                quantity="merit", preset="asym-pa-1", lam_axis=Axis((cast(0.5),)),
+                tau_axis=Axis((cast(0.3), cast(0.9))), phi_axis=Axis((cast(0.01),))))
+            return to_csv(records), to_json(records)
+        assert table(np.float64) == table(float)
+
+    def test_narrow_wigner_point_is_converted(self):
+        point = tuple(np.float32(v) for v in (0.1, -0.2, 0.3, 0.4))
+        records = [run_sweep(SweepRequest(quantity="wigner", preset="asym-pa-1",
+                                          lam_axis=Axis.scalar(0.5), tau_axis=Axis.scalar(0.6),
+                                          point=p))
+                   for p in (point, tuple(map(float, point)))]
+        assert records[0] == records[1]
+        assert records[0][0].status == "ok"
 
     def test_tau_pair_rejected_for_presets(self):
         # at construction, also when an empty lambda axis asks for no spec
