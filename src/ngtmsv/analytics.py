@@ -9,12 +9,11 @@ their photon numbers; the probability, the Wigner kernel, the moments,
 the QFI, and the parity signal with its phase slope are all read from
 them. Merit and weighted merit compare a state with the bare TMSV at
 the same lam, whose delta_phi is a closed form, so they evaluate no second
-state. A batch of one is a
-batch: the per-point functions run the same array code, with the same
-shapes, as :func:`evaluate_chunk`, which evaluates a sweep's chunk of tau
-values at once, with the same bits per point.
-Outputs that must be real are checked for imaginary residues before the
-imaginary part is discarded; quantities that
+state. A batch of one is a batch: the per-point functions run the same
+array code, with the same shapes, as :func:`evaluate_chunk`, which
+evaluates a sweep's row of tau values in fills of bounded bytes, with the
+same bits per point. Outputs that must be real are checked for imaginary
+residues before the imaginary part is discarded; quantities that
 normalize by the heralding probability raise
 :class:`~ngtmsv.errors.DegenerateOperationError` when that probability is
 below the representable floor.
@@ -631,7 +630,7 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     after the batch axis, and products are Cauchy products. The batch axis
     leads every array and is never summed over, so each state's sums run
     in the order they run for a batch of one, and the degree loop can take
-    the batch in slices (see :func:`_slice_states`).
+    the batch in slices (see :func:`_slices`).
     """
     levels, coupling, (s_even, s_odd), nodes = batch.parity_terms
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
@@ -659,9 +658,7 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
                   for d in range(terms)], axis=1)
     m = np.einsum("xva,xdab->xdvb", coupling, m)
     sums = np.empty((len(m), terms), dtype=np.complex128)
-    size = _slice_states(batch, terms)
-    for start in range(0, len(m), size):
-        rows = slice(start, start + size)
+    for rows in _slices(batch, terms):
         ells = np.einsum("xdvb,bn->xvdn", m[rows], nodes)[:, :, ::-1]
         sums[rows] = _direction_sums(levels, ells, [block[rows] for block in batch.blocks])
     return _scale(batch.specs[0]) / nodes.shape[1] * sums
@@ -718,36 +715,42 @@ def _cauchy(ells: np.ndarray, parents: np.ndarray) -> np.ndarray:
     return out
 
 
-# The bytes of arrays one sweep chunk holds: the heralding blocks of its
-# states and the parity quadrature's arrays for a slice of them at a time.
-# A chunk takes 31 sym-pc-2 states; the quadrature of a 21-state row takes
-# one slice at series order 0, two at order 1 and three at order 2.
+# The bytes of arrays one fill holds: its states' heralding blocks and the
+# parity quadrature's arrays for a slice of them at a time. A 101-state
+# sym-pc-2 row takes fills of 26, 26, 26 and 23 states; a 21-state fill's
+# quadrature takes one slice at series order 0, two at order 1, three at 2.
 _CHUNK_BYTES = 560_000
 
 
-def _chunk_states(spec: NGOperationSpec) -> int:
-    """How many states with the photon numbers of ``spec`` one sweep chunk
-    evaluates: per state, :func:`~ngtmsv.series.pair_blocks` ends with the
-    blocks' entries (float64) and holds, at its widest degree, about three
-    more blocks of that size. The rows and the columns of block s hold the
-    exponents of degree s of the same orders."""
-    orders = spec.derivative_spec().orders
+def _cut(count: int, fit: int) -> list:
+    """The fewest consecutive slices of ``count`` states with at most ``fit``
+    (at least one) in each: ceil(count / slices) each, the last the rest."""
+    parts = -(-count // max(1, fit))
+    size = -(-count // parts)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _fills(specs: tuple) -> list:
+    """The fills of :func:`evaluate_chunk` over ``specs``: per state,
+    :func:`~ngtmsv.series.pair_blocks` ends with the blocks' entries
+    (float64) and holds, at its widest degree, about three more blocks of
+    that size. Block s has the exponents of degree s as rows and columns."""
+    orders = specs[0].derivative_spec().orders
     counts = [len(exps) for exps, *_ in _levels(tuple(orders[v] for v in _PAIRED))]
-    return max(1, _CHUNK_BYTES // (8 * (sum(c * c for c in counts) + 3 * max(counts) ** 2)))
+    per_state = 8 * (sum(c * c for c in counts) + 3 * max(counts) ** 2)
+    return _cut(len(specs), _CHUNK_BYTES // per_state)
 
 
-def _slice_states(batch: _Batch, terms: int) -> int:
-    """How many states of ``batch`` one pass of :func:`_direction_sums`
-    takes, in slices of equal size to within one: what the chunk's bytes
-    leave beside the batch's blocks, over the bytes per state. At the
-    widest degree a state holds about six complex arrays of its exponents
-    times ``terms`` times the directions: a, the old and the new b, and the
-    two gathered operands of a Cauchy product, and the direction series."""
+def _slices(batch: _Batch, terms: int) -> list:
+    """The passes of :func:`_direction_sums` over ``batch``: what the fill's
+    bytes leave beside its blocks, over the bytes per state. At the widest
+    degree a state holds about six complex arrays of its exponents times
+    ``terms`` times the directions: a, the old and the new b, the two
+    gathered operands of a Cauchy product, and the direction series."""
     levels, _, _, nodes = batch.parity_terms
     per_state = 16 * 6 * max(len(exps) for exps, *_ in levels) * terms * nodes.shape[1]
     held = sum(block.nbytes for block in batch.blocks)
-    passes = -(-len(batch.specs) // max(1, (_CHUNK_BYTES - held) // per_state))
-    return -(-len(batch.specs) // passes)
+    return _cut(len(batch.specs), (_CHUNK_BYTES - held) // per_state)
 
 
 @functools.lru_cache(maxsize=64)
@@ -829,11 +832,11 @@ _PHASE_QUANTITIES = ("parity", "sensitivity", "merit", "weighted_merit")
 
 def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
     """One quantity at every point (lam, spec, phi), spec outermost, from
-    one heralding array for all of ``specs``, which must share their photon
-    numbers (m1, m2, n1, n2). ``quantity`` is a sweep quantity name;
-    ``point`` is the Wigner point. Returns per point the value that the
-    per-point function (``success_probability``, ``qfi``, ``qcrb``,
-    ``parity_expectation``, ``phase_sensitivity``, ``merit``,
+    fills of bounded bytes (see :func:`_fills`) of ``specs``, which must
+    share their photon numbers (m1, m2, n1, n2). ``quantity`` is a sweep
+    quantity name; ``point`` is the Wigner point. Returns per point the
+    value that the per-point function (``success_probability``, ``qfi``,
+    ``qcrb``, ``parity_expectation``, ``phase_sensitivity``, ``merit``,
     ``weighted_merit`` or ``wigner``) returns there, bit for bit, or the
     :class:`~ngtmsv.errors.NGError` it raises. Invalid arguments raise at
     once; no specs give no points.
@@ -848,12 +851,17 @@ def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
         raise ParameterError("a chunk's specs must share their photon numbers (m1, m2, n1, n2)")
     if not specs:
         return []
-    batch = _herald(lam, specs)
-    if quantity in _STATE_QUANTITIES:
-        outcomes = [_state_outcome(quantity, batch, b, xi) for b in range(len(specs))]
-        return [out for out in outcomes for _ in phis]
-    columns = [_phase_outcomes(quantity, batch, lam, phi) for phi in phis]
-    return [column[b] for b in range(len(specs)) for column in columns]
+    outcomes = []
+    for fill in _fills(specs):
+        batch = _herald(lam, specs[fill])
+        if quantity in _STATE_QUANTITIES:
+            states = [_state_outcome(quantity, batch, b, xi) for b in range(len(batch.specs))]
+            outcomes += [out for out in states for _ in phis]
+        else:
+            columns = [_phase_outcomes(quantity, batch, lam, phi) for phi in phis]
+            outcomes += [column[b] for b in range(len(batch.specs)) for column in columns]
+        del batch  # released before the next fill is made
+    return outcomes
 
 
 def _state_outcome(quantity: str, batch: _Batch, index: int, xi):
@@ -867,8 +875,8 @@ def _state_outcome(quantity: str, batch: _Batch, index: int, xi):
         _check_floor(state.prob, "moments")
         fisher = _qfi(_j2(state))
         return fisher if quantity == "qfi" else 1.0 / math.sqrt(fisher)
-    except NGError as err:
-        return err
+    except NGError as err:  # its traceback's frames would keep the batch alive
+        return err.with_traceback(None)
 
 
 def _phase_outcomes(quantity: str, batch: _Batch, lam: float, phi: float) -> list:
@@ -882,6 +890,7 @@ def _phase_outcomes(quantity: str, batch: _Batch, lam: float, phi: float) -> lis
                 ref = _tmsv_reference(lam, phi)
             except NGError as err:
                 # merit reads the reference first, weighted merit the state
+                err = err.with_traceback(None)  # see _state_outcome
                 return [err if quantity == "merit" or fault is None else fault
                         for fault in batch.faults]
         values, faults = _sensitivity(batch, phi)

@@ -146,6 +146,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _format(args: argparse.Namespace) -> str:
+    fmt = args.fmt or "csv"
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"format: expected csv or json, got {fmt!r}")
+    return fmt
+
+
 def _emit(records, fmt: str, output: Optional[str]) -> None:
     text = to_json(records) if fmt == "json" else to_csv(records)
     if output is None:
@@ -160,9 +167,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.quantity is None:
         raise UsageError("quantity: required for sweep; one of "
                          + ", ".join(QUANTITIES))
-    fmt = args.fmt or "csv"
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format: expected csv or json, got {fmt!r}")
+    fmt = _format(args)
     request = _build_request(args, args.quantity)
     records = run_sweep(request)
     _emit(records, fmt, args.output)
@@ -185,20 +190,14 @@ def cmd_figure(args: argparse.Namespace) -> int:
     for name in args.names:
         if name not in FIGURES:
             raise UsageError(f"figure: unknown name {name!r}; see figure --list")
-    fmt = args.fmt or "csv"
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format: expected csv or json, got {fmt!r}")
-    ext = "json" if fmt == "json" else "csv"
+    fmt = _format(args)
     os.makedirs(args.outdir, exist_ok=True)
     for name in args.names:
         _, curves = FIGURES[name]
         for label, request in curves:
-            records = run_sweep(request)
-            if len(curves) == 1:
-                path = os.path.join(args.outdir, f"{name}.{ext}")
-            else:
-                path = os.path.join(args.outdir, f"{name}_{label}.{ext}")
-            _emit(records, fmt, path)
+            stem = name if len(curves) == 1 else f"{name}_{label}"
+            path = os.path.join(args.outdir, f"{stem}.{fmt}")
+            _emit(run_sweep(request), fmt, path)
             print(path)
     return 0
 
@@ -262,10 +261,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NGError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,9 @@
 """Parameter sweeps, table emission, config parsing, and figure presets.
 
 A sweep covers the cartesian grid lambda x tau x phi and collects records in
-grid order (lambda outermost, phi fastest). Each lambda-row is evaluated in
-chunks of tau values, one fill of the heralding blocks per chunk, with a
-bounded number of bytes of arrays per chunk.
+grid order (lambda outermost, phi fastest). Each lambda-row is one call of
+:func:`ngtmsv.analytics.evaluate_chunk`, which fills the heralding blocks
+of consecutive tau values under a bounded number of bytes of arrays.
 Degenerate or stationary points are recorded with a status instead of
 aborting the sweep.
 """
@@ -226,10 +226,9 @@ def run_sweep(request: SweepRequest) -> list:
     """Evaluate the grid; records come back in grid order (lambda outermost,
     then tau, then phi).
 
-    Each lambda-row is evaluated in chunks of consecutive tau values: the
-    points of a row share their photon numbers, so a chunk is one fill of
-    the heralding blocks with a batch axis (see
-    :func:`ngtmsv.analytics.evaluate_chunk`).
+    The points of a lambda-row share their photon numbers, so a row is one
+    call of :func:`ngtmsv.analytics.evaluate_chunk`, which evaluates it in
+    fills of the heralding blocks with a batch axis.
     Every point gets the value and status it gets on its own, and an error
     that is not a status is raised from the first point in grid order that
     raises it.
@@ -237,15 +236,12 @@ def run_sweep(request: SweepRequest) -> list:
     kind, n = (None, 0) if request.preset is None else parse_preset(request.preset)
     specs = [request.spec_for(tau) if kind is None else operation_from_table(kind, n, tau)
              for tau in request.tau_axis.values]
-    size = analytics._chunk_states(specs[0]) if specs else 1
     phis = request.phi_axis.values
     records = []
     for lam in request.lam_axis.values:
-        for start in range(0, len(specs), size):
-            chunk = specs[start:start + size]
-            outcomes = analytics.evaluate_chunk(request.quantity, lam, chunk, phis, request.point)
-            points = ((spec, phi) for spec in chunk for phi in phis)
-            records += [_record(lam, spec, phi, out) for (spec, phi), out in zip(points, outcomes)]
+        outcomes = analytics.evaluate_chunk(request.quantity, lam, specs, phis, request.point)
+        points = ((spec, phi) for spec in specs for phi in phis)
+        records += [_record(lam, spec, phi, out) for (spec, phi), out in zip(points, outcomes)]
     return records
 
 
@@ -253,17 +249,16 @@ def _record(lam: float, spec: NGOperationSpec, phi: float, outcome) -> SweepReco
     if type(outcome) is float:
         return SweepRecord(lam, spec.tau1, spec.tau2, phi, outcome, "ok")
     if isinstance(outcome, (DegenerateOperationError, DegenerateStateError)):
-        value, status = None, "degenerate"
+        status = "degenerate"
     elif isinstance(outcome, StationaryPointError):
-        value, status = None, "stationary"
-    elif isinstance(outcome, Exception):
-        raise outcome
+        status = "stationary"
     else:
-        value, status = outcome, "ok"
-    return SweepRecord(lam, spec.tau1, spec.tau2, phi, value, status)
+        raise outcome
+    return SweepRecord(lam, spec.tau1, spec.tau2, phi, None, status)
 
 
 _FIELDS = operator.attrgetter("lam", "tau1", "tau2", "phi", "value", "status")
+_FLOATS = (float, np.float16, np.float32)  # a narrow one is the double it equals
 
 
 def _plain(rows: list) -> bool:
@@ -277,7 +272,7 @@ def _plain(rows: list) -> bool:
 
 def _csv_scalar(value) -> str:
     """A float, numpy's included, as JSON writes it (``float.__repr__``), else its ``repr``."""
-    return float.__repr__(value) if isinstance(value, float) else repr(value)
+    return float.__repr__(float(value)) if isinstance(value, _FLOATS) else repr(value)
 
 
 def to_csv(records) -> str:
@@ -301,10 +296,10 @@ _JSON_PLAIN_ROW = _JSON_ROW % (("%r",) * 5 + ('"%s"',))
 
 
 def _json_scalar(value) -> str:
-    """``json.dumps(value)``; a finite float is its ``float.__repr__``, which
-    is what json writes for it."""
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
+    """``json.dumps(value)``, a float, numpy's included, as the double it
+    equals; a finite one is its ``float.__repr__``, which json writes."""
+    if isinstance(value, _FLOATS):
+        return _csv_scalar(value) if math.isfinite(value) else json.dumps(float(value))
     return json.dumps(value)
 
 

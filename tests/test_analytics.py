@@ -1228,6 +1228,11 @@ class TestResidueGuard:
             _real(1.0 + 1e-3j, "x")
 
 
+def _sym_pc_2_row(n: int) -> list:
+    """The sym-pc-2 operations of a row of ``n`` tau values over [0.01, 1]."""
+    return [operation_from_table("sym-pc", 2, tau) for tau in np.linspace(0.01, 1.0, n).tolist()]
+
+
 def _pointwise(request):
     """The (repr(value), status) of every grid point of ``request``, in grid
     order, from the public per-point functions; an error that is not a
@@ -1356,9 +1361,10 @@ class TestBatchedSweep:
         assert {type(v) for row in got for v in row} == {float, StationaryPointError}
 
     def test_one_engine_call_per_chunk(self, monkeypatch):
-        # a 101-point asym-pa-1 row is one chunk, and the bare-TMSV reference
+        # a 101-point asym-pa-1 row is one fill, and the bare-TMSV reference
         # is a closed form; so is a 21-point sym-pc-2 row, whose quadrature
-        # runs over slices of the chunk
+        # runs over slices of the fill. A 101-point sym-pc-2 row takes the
+        # fewest fills that fit the budget, of as even a size as ceil allows
         calls = _engine_calls(monkeypatch)
         analytics._heralding.cache_clear()
         run_sweep(SweepRequest(quantity="weighted_merit", preset="asym-pa-1",
@@ -1370,6 +1376,9 @@ class TestBatchedSweep:
                                lam_axis=Axis((0.6,)), tau_axis=parse_axis("0.01:1.0:21", "tau"),
                                phi_axis=Axis((0.01,))))
         assert calls == [("pair_blocks", (21, 8, 8))]
+        calls.clear()
+        analytics.evaluate_chunk("merit", 0.5, _sym_pc_2_row(101), [0.01])
+        assert calls == [("pair_blocks", (n, 8, 8)) for n in (26, 26, 26, 23)]
 
     def test_sym_pc_2_row_memory(self):
         # A heavy row's memory stays where it was at every series order of
@@ -1390,13 +1399,26 @@ class TestBatchedSweep:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.10 * 609_931, (quantity, peak)
+        # a row handed to evaluate_chunk whole is cut into fills under the
+        # same budget, each released before the next is made, also when its
+        # outcomes are errors (at phi = 0 the reference is stationary)
+        for n, phi in ((62, 0.01), (101, 0.01), (202, 0.01), (101, 0.0)):
+            specs = _sym_pc_2_row(n)
+            tracemalloc.start()
+            try:
+                analytics.evaluate_chunk("merit", 0.5, specs, [phi])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.10 * 609_931, (n, phi, peak)
 
     @pytest.mark.parametrize("preset, tau", [
-        ("sym-pc-2", "0.01:1.0:21"), ("asym-pa-1", "0.01:0.99:101")])
+        ("sym-pc-2", "0.01:1.0:21"), ("sym-pc-2", "0.01:1.0:62"),
+        ("asym-pa-1", "0.01:0.99:101")])
     def test_whole_rows_match_per_point_functions(self, preset, tau):
-        # a row fills one chunk, and a sym-pc-2 row's quadrature runs in
-        # slices of it, at series orders 0 to 2 (phi = 0 and 5e-10 lie at a
-        # fringe top of the signal's phi + pi/2)
+        # a row is one fill, or two for 62 sym-pc-2 points, and a sym-pc-2
+        # fill's quadrature runs in slices of it, at series orders 0 to 2
+        # (phi = 0 and 5e-10 lie at a fringe top of the signal's phi + pi/2)
         for quantity in ("parity", "sensitivity", "merit"):
             request = SweepRequest(quantity=quantity, preset=preset, lam_axis=Axis((0.6,)),
                                    tau_axis=parse_axis(tau, "tau"),

@@ -271,6 +271,15 @@ class TestTables:
         assert to_csv(records) == to_csv(plain)
         assert to_json(records) == to_json(plain)
         assert to_csv(records).splitlines()[1].startswith("0.5,1.0,0.5,0.01,")
+        # a float16 or float32 is written as the double it equals exactly
+        rows = [(0.5, 1.0, 0.3, 0.01, 0.1, "ok"), (0.1, 0.7, 1.0, 1e-3, 0.2, "degenerate")]
+        for real in (np.float16, np.float32):
+            narrow = [SweepRecord(*map(real, row[:5]), row[5]) for row in rows]
+            wide = [SweepRecord(*map(float, map(real, row[:5])), row[5]) for row in rows]
+            assert float(real(0.1)) != 0.1
+            assert to_csv(narrow) == to_csv(wide)
+            assert to_json(narrow) == to_json(wide)
+            assert records_from_json(to_json(narrow)) == wide
 
     def test_csv_leaves_failed_values_empty(self):
         req = SweepRequest(quantity="qfi", lam_axis=Axis((0.0,)),
