@@ -866,10 +866,11 @@ def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
 
 def _state_outcome(quantity: str, batch: _Batch, index: int, xi):
     """A phase-free quantity of one state of a batch, or its error."""
+    if quantity == "probability":  # the batch's own value: no _State is built
+        fault = batch.faults[index]
+        return float(batch.prob[index]) if fault is None else fault
     try:
         state = batch.state(index)
-        if quantity == "probability":
-            return state.prob
         if quantity == "wigner":
             return state.kernel._value(xi)
         _check_floor(state.prob, "moments")

@@ -30,13 +30,14 @@ from .errors import ConstructionError, ParameterError
 from .series import DerivativeSpec, GeneratingExponent, _is_count
 
 _KIND_ROWS = {
-    # kind -> (m per mode, n per mode, tau placement) as functions of (n, tau)
-    "asym-ps": lambda n, tau: ((0, 0), (0, n), (1.0, tau)),
-    "asym-pa": lambda n, tau: ((0, n), (0, 0), (1.0, tau)),
-    "asym-pc": lambda n, tau: ((0, n), (0, n), (1.0, tau)),
-    "sym-ps": lambda n, tau: ((0, 0), (n, n), (tau, tau)),
-    "sym-pa": lambda n, tau: ((n, n), (0, 0), (tau, tau)),
-    "sym-pc": lambda n, tau: ((n, n), (n, n), (tau, tau)),
+    # kind -> which of (m1, m2, n1, n2) hold the photon number n (the others
+    # are 0), and whether tau1 is the row's tau too (asymmetric rows keep 1.0)
+    "asym-ps": ((0, 0, 0, 1), False),
+    "asym-pa": ((0, 1, 0, 0), False),
+    "asym-pc": ((0, 1, 0, 1), False),
+    "sym-ps": ((0, 0, 1, 1), True),
+    "sym-pa": ((1, 1, 0, 0), True),
+    "sym-pc": ((1, 1, 1, 1), True),
 }
 
 
@@ -127,15 +128,41 @@ def operation_from_table(kind: str, n: int, tau: float) -> NGOperationSpec:
     Asymmetric rows act on mode 2 only (mode 1 kept at tau = 1); symmetric
     rows apply the same ancilla photons and tau to both modes.
     """
+    return _preset_row(kind, n, (tau,))[0]
+
+
+def _preset_row(kind: str, n: int, taus) -> list:
+    """The operations of :func:`operation_from_table` at each tau of the
+    sequence ``taus``, in order: a sweep's preset row.
+
+    Each check runs once per row. This builder checks the kind and n, then
+    each tau with the message :func:`operation_from_table` gives, the first
+    bad one raising. Those checks cover all six fields, so the specs are
+    filled without ``NGOperationSpec.__post_init__``, which checks a direct
+    construction. A sweep's axes are checked before, by ``SweepRequest``.
+    """
     key = kind.lower().replace("_", "-") if isinstance(kind, str) else None
     if key not in _KIND_ROWS:
         raise ParameterError(
             f"unknown operation kind {kind!r}; expected one of {sorted(_KIND_ROWS)}")
     if not _is_count(n) or n < 1:
         raise ParameterError(f"photon number n must be a positive integer, got {n!r}")
-    _check_tau("tau", tau)
-    (m1, m2), (n1, n2), (t1, t2) = _KIND_ROWS[key](n, tau)
-    return NGOperationSpec(m1, m2, n1, n2, t1, t2)
+    for tau in taus:
+        _check_tau("tau", tau)
+    holds, symmetric = _KIND_ROWS[key]
+    m1, m2, n1, n2 = (n if held else 0 for held in holds)
+    specs = []
+    for tau in taus:
+        spec = object.__new__(NGOperationSpec)
+        values = spec.__dict__  # filled in the order of the dataclass fields
+        values["m1"] = m1
+        values["m2"] = m2
+        values["n1"] = n1
+        values["n2"] = n2
+        values["tau1"] = tau if symmetric else 1.0
+        values["tau2"] = tau
+        specs.append(spec)
+    return specs
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from .errors import (
     UsageError,
 )
 from .model import (
-    NGOperationSpec, _KIND_ROWS, _is_double, _is_real, operation_from_table, tmsv_spec)
+    NGOperationSpec, _KIND_ROWS, _is_double, _is_real, _preset_row, operation_from_table,
+    tmsv_spec)
 from .series import _is_count
 
 QUANTITIES = (
@@ -226,6 +227,10 @@ def run_sweep(request: SweepRequest) -> list:
     """Evaluate the grid; records come back in grid order (lambda outermost,
     then tau, then phi).
 
+    Each input is checked once. ``SweepRequest`` checks the axes, a preset's
+    row of operations is built by :func:`ngtmsv.model._preset_row`, which
+    checks the kind, n and each tau once, and ``NGOperationSpec`` checks an
+    operation built from ``photons``.
     The points of a lambda-row share their photon numbers, so a row is one
     call of :func:`ngtmsv.analytics.evaluate_chunk`, which evaluates it in
     fills of the heralding blocks with a batch axis.
@@ -234,27 +239,31 @@ def run_sweep(request: SweepRequest) -> list:
     raises it.
     """
     kind, n = (None, 0) if request.preset is None else parse_preset(request.preset)
-    specs = [request.spec_for(tau) if kind is None else operation_from_table(kind, n, tau)
-             for tau in request.tau_axis.values]
+    taus = request.tau_axis.values
+    specs = [request.spec_for(tau) for tau in taus] if kind is None else _preset_row(kind, n, taus)
     phis = request.phi_axis.values
+    points = [(spec.tau1, spec.tau2, phi) for spec in specs for phi in phis]
     records = []
     for lam in request.lam_axis.values:
         outcomes = analytics.evaluate_chunk(request.quantity, lam, specs, phis, request.point)
-        points = ((spec, phi) for spec in specs for phi in phis)
-        records += [_record(lam, spec, phi, out) for (spec, phi), out in zip(points, outcomes)]
+        if set(map(type, outcomes)) <= {float}:
+            records += [SweepRecord(lam, t1, t2, phi, value, "ok")
+                        for (t1, t2, phi), value in zip(points, outcomes)]
+        else:
+            records += [_record(lam, *point, out) for point, out in zip(points, outcomes)]
     return records
 
 
-def _record(lam: float, spec: NGOperationSpec, phi: float, outcome) -> SweepRecord:
+def _record(lam: float, tau1: float, tau2: float, phi: float, outcome) -> SweepRecord:
     if type(outcome) is float:
-        return SweepRecord(lam, spec.tau1, spec.tau2, phi, outcome, "ok")
+        return SweepRecord(lam, tau1, tau2, phi, outcome, "ok")
     if isinstance(outcome, (DegenerateOperationError, DegenerateStateError)):
         status = "degenerate"
     elif isinstance(outcome, StationaryPointError):
         status = "stationary"
     else:
         raise outcome
-    return SweepRecord(lam, spec.tau1, spec.tau2, phi, None, status)
+    return SweepRecord(lam, tau1, tau2, phi, None, status)
 
 
 _FIELDS = operator.attrgetter("lam", "tau1", "tau2", "phi", "value", "status")

@@ -237,6 +237,19 @@ class TestRunSweep:
         statuses = [r.status for r in run_sweep(req)]
         assert statuses == ["stationary", "ok"]
 
+    def test_row_of_mixed_statuses(self):
+        # one lambda-row holding ok, stationary and degenerate points: each
+        # record is what its point gives alone
+        req = SweepRequest(quantity="merit", lam_axis=Axis((0.3,)), tau_axis=Axis((0.5, 1.0)),
+                           phi_axis=Axis((0.0, 0.3)), preset="asym-ps-1")
+        records = run_sweep(req)
+        assert [(r.lam, r.tau1, r.tau2, r.phi, r.status) for r in records] == [
+            (0.3, 1.0, 0.5, 0.0, "stationary"), (0.3, 1.0, 0.5, 0.3, "ok"),
+            (0.3, 1.0, 1.0, 0.0, "stationary"), (0.3, 1.0, 1.0, 0.3, "degenerate")]
+        assert records[1].value == ngtmsv.merit(0.3, ngtmsv.operation_from_table(
+            "asym-ps", 1, 0.5), 0.3)
+        assert [r.value for r in records if r.status != "ok"] == [None] * 3
+
     def test_thread_count_does_not_change_records(self, monkeypatch):
         # sweeps run serially; a leftover NGI_THREADS setting is ignored
         req = SweepRequest(quantity="merit", lam_axis=Axis((0.3, 0.5, 0.7)),

@@ -41,6 +41,13 @@ def test_pinned_bits_on_every_dispatch_target():
         runs.append((off, subprocess.Popen([sys.executable, "-c", RERUN, *off], env=env,
                                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                            text=True)))
-    for off, run in runs:
-        _, err = run.communicate(timeout=300)
-        assert run.returncode == 0, (off, err)
+    results = []
+    for off, run in runs:  # every child is read, and its pipes closed, first
+        try:
+            _, err = run.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            run.kill()
+            _, err = run.communicate()
+        results.append((off, run.returncode, err))
+    for off, code, err in results:
+        assert code == 0, (off, err)

@@ -6,6 +6,7 @@ entry-by-entry comparison against a second transcription of the same tables
 written here in raw unfactored style (a typo in either copy breaks the match).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,9 +15,11 @@ import pytest
 from ngtmsv.dual import Dual
 from ngtmsv.errors import ConstructionError, ParameterError
 from ngtmsv.model import (
+    _KIND_ROWS,
     ModelParams,
     NGOperationSpec,
     ParityAux,
+    _preset_row,
     derive_params,
     moment_coupling,
     moment_exponent,
@@ -93,6 +96,58 @@ class TestOperationFromTable:
             operation_from_table("sym-ps", 0, 0.5)
         with pytest.raises(ParameterError):
             operation_from_table("sym-ps", 1, 0.0)
+
+    # (m1, m2, n1, n2, tau1, tau2) of each kind, written out per kind
+    _FIELDS = {
+        "asym-ps": lambda n, tau: (0, 0, 0, n, 1.0, tau),
+        "asym-pa": lambda n, tau: (0, n, 0, 0, 1.0, tau),
+        "asym-pc": lambda n, tau: (0, n, 0, n, 1.0, tau),
+        "sym-ps": lambda n, tau: (0, 0, n, n, tau, tau),
+        "sym-pa": lambda n, tau: (n, n, 0, 0, tau, tau),
+        "sym-pc": lambda n, tau: (n, n, n, n, tau, tau),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(_FIELDS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_row_builds_what_the_checked_constructor_builds(self, kind, n):
+        # the row builder skips __post_init__, so its specs are compared with
+        # checked constructions field by field, types included: an int tau
+        # of 1 stays the int 1
+        taus = (1e-6, 0.37, 1, 1.0)
+        row = _preset_row(kind, n, taus)
+        assert len(row) == len(taus)
+        for tau, spec in zip(taus, row):
+            checked = NGOperationSpec(*self._FIELDS[kind](n, tau))
+            for built in (spec, operation_from_table(kind, n, tau)):
+                assert type(built) is NGOperationSpec
+                assert built == checked and hash(built) == hash(checked)
+                assert list(vars(built).items()) == list(vars(checked).items())
+                assert [type(v) for v in vars(built).values()] == \
+                    [type(v) for v in vars(checked).values()]
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    built.tau2 = 0.5
+        assert set(_KIND_ROWS) == set(self._FIELDS)
+        assert _preset_row(kind, n, ()) == []
+
+    @pytest.mark.parametrize("kind, n, tau, message", [
+        ("mystery", 1, 0.5, "unknown operation kind 'mystery'; expected one of "
+                            "['asym-pa', 'asym-pc', 'asym-ps', 'sym-pa', 'sym-pc', 'sym-ps']"),
+        ("sym-ps", 0, 0.5, "photon number n must be a positive integer, got 0"),
+        ("sym-ps", True, 0.5, "photon number n must be a positive integer, got True"),
+        ("asym-pa", 1, 0.0, "tau must lie in (0, 1], got 0.0"),
+        ("asym-pa", 1, 1.5, "tau must lie in (0, 1], got 1.5"),
+        ("sym-pc", 2, math.nan, "tau must lie in (0, 1], got nan"),
+        ("sym-pc", 2, np.float32(0.5),
+         "tau must be a real number in double precision, got np.float32(0.5)"),
+    ], ids=["kind", "n-zero", "n-bool", "tau-zero", "tau-above-one", "tau-nan", "tau-float32"])
+    def test_row_refuses_what_a_single_operation_refuses(self, kind, n, tau, message):
+        # a bad tau in the middle of a row raises the single operation's text;
+        # a later bad tau does not get there first
+        for call in (lambda: operation_from_table(kind, n, tau),
+                     lambda: _preset_row(kind, n, (0.3, tau, 0.7, 2.0))):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert str(err.value) == message
 
 
 class TestDeriveParams:
