@@ -135,11 +135,11 @@ def _preset_row(kind: str, n: int, taus) -> list:
     """The operations of :func:`operation_from_table` at each tau of the
     sequence ``taus``, in order: a sweep's preset row.
 
-    Each check runs once per row. This builder checks the kind and n, then
-    each tau with the message :func:`operation_from_table` gives, the first
-    bad one raising. Those checks cover all six fields, so the specs are
-    filled without ``NGOperationSpec.__post_init__``, which checks a direct
-    construction. A sweep's axes are checked before, by ``SweepRequest``.
+    This builder checks the kind and n once per row, then each tau with the
+    message :func:`operation_from_table` gives, the first bad one raising.
+    Those checks cover all six fields, so the specs are filled without
+    ``NGOperationSpec.__post_init__``, which checks a direct construction.
+    A sweep's axes are checked before, by ``SweepRequest``.
     """
     key = kind.lower().replace("_", "-") if isinstance(kind, str) else None
     if key not in _KIND_ROWS:
@@ -147,12 +147,11 @@ def _preset_row(kind: str, n: int, taus) -> list:
             f"unknown operation kind {kind!r}; expected one of {sorted(_KIND_ROWS)}")
     if not _is_count(n) or n < 1:
         raise ParameterError(f"photon number n must be a positive integer, got {n!r}")
-    for tau in taus:
-        _check_tau("tau", tau)
     holds, symmetric = _KIND_ROWS[key]
     m1, m2, n1, n2 = (n if held else 0 for held in holds)
     specs = []
     for tau in taus:
+        _check_tau("tau", tau)
         spec = object.__new__(NGOperationSpec)
         values = spec.__dict__  # filled in the order of the dataclass fields
         values["m1"] = m1

@@ -227,10 +227,11 @@ def run_sweep(request: SweepRequest) -> list:
     """Evaluate the grid; records come back in grid order (lambda outermost,
     then tau, then phi).
 
-    Each input is checked once. ``SweepRequest`` checks the axes, a preset's
-    row of operations is built by :func:`ngtmsv.model._preset_row`, which
-    checks the kind, n and each tau once, and ``NGOperationSpec`` checks an
-    operation built from ``photons``.
+    Who checks what: ``SweepRequest`` checks the axes; a preset's row of
+    operations comes from :func:`ngtmsv.model._preset_row`, which checks the
+    kind and n once per row, not once per spec, and each tau once as an
+    operation's tau; and ``NGOperationSpec`` checks an operation built from
+    ``photons``.
     The points of a lambda-row share their photon numbers, so a row is one
     call of :func:`ngtmsv.analytics.evaluate_chunk`, which evaluates it in
     fills of the heralding blocks with a batch axis.
@@ -246,11 +247,7 @@ def run_sweep(request: SweepRequest) -> list:
     records = []
     for lam in request.lam_axis.values:
         outcomes = analytics.evaluate_chunk(request.quantity, lam, specs, phis, request.point)
-        if set(map(type, outcomes)) <= {float}:
-            records += [SweepRecord(lam, t1, t2, phi, value, "ok")
-                        for (t1, t2, phi), value in zip(points, outcomes)]
-        else:
-            records += [_record(lam, *point, out) for point, out in zip(points, outcomes)]
+        records += [_record(lam, *point, out) for point, out in zip(points, outcomes)]
     return records
 
 
