@@ -232,18 +232,16 @@ class _Batch:
     @functools.cached_property
     def parity_terms(self) -> tuple:
         """What :func:`_parity_numerator` reads: the degrees (see
-        :func:`~ngtmsv.series._levels`) of the orders of a that are not 0,
-        the coupling rows of those variables of a and then of the same ones
-        of b (a and b have the same orders), the phase-space entries
-        (S11, S22) and (S13, S24) and the circle rule. An exponent of a
-        variable of order 0 is 0, so dropping it keeps the order of the
-        degrees' exponents."""
+        :func:`~ngtmsv.series._levels`) of the orders of a that are not 0, the
+        coupling rows of those variables (b's rows are derived), the
+        phase-space entries (S11, S22) and (S13, S24) and the circle rule. An
+        exponent of a variable of order 0 is 0, so dropping it keeps the order
+        of the degrees' exponents."""
         orders = self.specs[0].derivative_spec().orders
-        kept = [i for i, v in enumerate(_PAIRED) if orders[v]]
+        kept = [v for v in _PAIRED if orders[v]]
         s = phase_space_form(self.params)
-        return (_levels(tuple(orders[_PAIRED[i]] for i in kept)),
-                wigner_coupling(self.params)[
-                    :, [_PAIRED[i] for i in kept] + [_OTHERS[i] for i in kept]],
+        return (_levels(tuple(orders[v] for v in kept)),
+                wigner_coupling(self.params)[:, kept],
                 (s[:, [0, 1], [0, 1]], s[:, [0, 1], [2, 3]]),
                 _circle_rule(self.specs[0].total_photons + 1))
 
@@ -624,13 +622,14 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     :func:`_circle_rule` give exactly. P is built a degree at a time,
     P(t) = P(t - e_b) l_b / t_b (see :func:`~ngtmsv.series._levels`), and
     the block whose rows and columns need that degree is contracted before
-    the next one is built, on every direction at once.
-    G_s is real, so it is contracted with the real and imaginary parts of
-    B_s. Every factor is a truncated Taylor series in phi, held on the axis
-    after the batch axis, and products are Cauchy products. The batch axis
-    leads every array and is never summed over, so each state's sums run
-    in the order they run for a batch of one, and the degree loop can take
-    the batch in slices (see :func:`_slices`).
+    the next one is built, on every direction at once. b's coupling rows are
+    -conj of a's and N L is real, so B_s = (-1)^d conj(A_s) and G_s B_s =
+    (-1)^d conj(G_s A_s), to the bit, as negation and conjugation round
+    symmetrically: only A_s is built. Every factor is a truncated Taylor
+    series in phi, held on the axis after the batch axis, and products are
+    Cauchy products. The batch axis leads every array and is never summed
+    over, so each state's sums run in the order they run for a batch of one,
+    and the degree loop can take the batch in slices (see :func:`_slices`).
     """
     levels, coupling, (s_even, s_odd), nodes = batch.parity_terms
     sin_phi, cos_phi = math.sin(phi), math.cos(phi)
@@ -667,10 +666,10 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
 def _direction_sums(levels: tuple, ells: np.ndarray, blocks: list) -> np.ndarray:
     """The numerator's series terms of :func:`_parity_numerator`, summed
     over the directions, for a slice of the batch whose reversed direction
-    series are ``ells`` and whose heralding blocks are ``blocks``."""
-    half, terms = ells.shape[1] // 2, ells.shape[2]
-    a = b = np.zeros((len(ells), 1, terms, ells.shape[3]), dtype=np.complex128)
-    a[:, :, 0] = 1.0  # P at degree 0 is 1, on both sides
+    series of a are ``ells`` and whose heralding blocks are ``blocks``."""
+    terms = ells.shape[2]
+    a = np.zeros((len(ells), 1, terms, ells.shape[3]), dtype=np.complex128)
+    a[:, :, 0] = 1.0  # P at degree 0 is 1
     num = 0.0
     # Complex products go through np.einsum without `optimize`: its loops
     # are built once for numpy's baseline instruction set and round the same
@@ -683,23 +682,22 @@ def _direction_sums(levels: tuple, ells: np.ndarray, blocks: list) -> np.ndarray
         if d:
             _, parent, axis, power = levels[d]
             a = _cauchy(ells[:, axis], a[:, parent])
-            b = _cauchy(ells[:, axis + half], b[:, parent])
             # numpy divides a complex number by t_b + 0j as the product of
             # each part with 1 / t_b; no part here is -0.0 (an einsum's sum
             # starts at +0.0), so these products are those quotients
-            recip = (1.0 / power)[:, None, None]
-            for parts in (a.view(np.float64), b.view(np.float64)):
-                parts *= recip
+            parts = a.view(np.float64)
+            parts *= (1.0 / power)[:, None, None]
         # P at degree d, in lexicographic order, meets the rows and columns
         # of block |alpha| - d in reverse order, as t = alpha - r reverses it
         values = np.einsum("xrc,xcm->xrm", block[:, ::-1, ::-1],
-                           b.view(np.float64).reshape(b.shape[:2] + (-1,)))
+                           a.view(np.float64).reshape(a.shape[:2] + (-1,)))
         values = values.view(np.complex128).reshape(a.shape)
+        np.negative(values.imag, out=values.imag)  # G conj(A); B's sign is in the weight
         term = np.empty((len(a), terms, a.shape[3]), dtype=np.complex128)
         for k in range(terms):  # sum over r, then over e <= k of a[k - e] values[e]
             np.einsum("xren,xren->xn", a[:, :, k::-1], values[:, :, :k + 1], out=term[:, k])
         del values
-        num = num + 2.0 ** d * math.factorial(d) * term
+        num = num + (-2.0) ** d * math.factorial(d) * term
     return num.sum(axis=-1)
 
 
@@ -744,11 +742,11 @@ def _fills(specs: tuple) -> list:
 def _slices(batch: _Batch, terms: int) -> list:
     """The passes of :func:`_direction_sums` over ``batch``: what the fill's
     bytes leave beside its blocks, over the bytes per state. At the widest
-    degree a state holds about six complex arrays of its exponents times
-    ``terms`` times the directions: a, the old and the new b, the two
-    gathered operands of a Cauchy product, and the direction series."""
+    degree a state holds about five complex arrays of its exponents times
+    ``terms`` times the directions: the old and the new a, the two gathered
+    operands of a Cauchy product, and the direction series."""
     levels, _, _, nodes = batch.parity_terms
-    per_state = 16 * 6 * max(len(exps) for exps, *_ in levels) * terms * nodes.shape[1]
+    per_state = 16 * 5 * max(len(exps) for exps, *_ in levels) * terms * nodes.shape[1]
     held = sum(block.nbytes for block in batch.blocks)
     return _cut(len(batch.specs), (_CHUNK_BYTES - held) // per_state)
 

@@ -327,8 +327,8 @@ def to_json(records) -> str:
 def records_from_json(text: str) -> list:
     """Inverse of :func:`to_json` (used by tests and downstream tooling).
 
-    Text that is not a JSON array of record objects raises
-    :class:`~ngtmsv.errors.UsageError` naming the row and the field.
+    Text that is not a JSON array of record objects, with a value in each
+    'ok' row and in no other, raises :class:`~ngtmsv.errors.UsageError`, naming the row and field.
     """
     try:
         rows = json.loads(text)
@@ -350,6 +350,8 @@ def records_from_json(text: str) -> list:
                 wrong = not (_is_real(value) or key == "value" and value is None)
             if wrong:
                 raise UsageError(f"records: row {n} has a wrong {key!r}: {value!r}")
+        if (row["value"] is None) == (row["status"] == "ok"):  # only 'ok' has a value
+            raise UsageError(f"records: row {n} has a wrong 'value' for status {row['status']!r}")
         out.append(SweepRecord(*(row[key] for key in _JSON_FIELDS)))
     return out
 

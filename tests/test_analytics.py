@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from engine_reference import herald_core, tmsv_sensitivity_mp
+from engine_reference import herald_core, tmsv_sensitivity_mp, two_sided_numerator
 from ngtmsv import analytics
 from ngtmsv.analytics import (
     PhaseSpacePoint,
@@ -492,6 +492,43 @@ class TestParitySignal:
         text = "".join(repr(v) + "\n" for v in lines)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "65cb5959336ba5565fff9687ddac98fecd5d561353036fb3194028e0edb423b7")
+
+    def test_b_coupling_rows_are_minus_conj_of_a_rows(self):
+        # the quadrature builds a's side only and derives b's: each row of b
+        # is -conj of its partner's row of a, bit for bit where the entry is
+        # not zero, and by value at the structural zeros, whose sign differs
+        for shape in _SHAPES:
+            specs = _shape_row(shape, [0.3, 0.95])
+            photons = (specs[0].m1, specs[0].m2, specs[0].n1, specs[0].n2)
+            specs += [NGOperationSpec(*photons, tau1, tau2)
+                      for tau1, tau2 in ((0.3, 0.8), (0.95, 0.5), (1.0, 0.6))]
+            for lam in (0.0, 1e-14, 0.5, 0.999):
+                coupling = model.wigner_coupling(derive_params(lam, specs))
+                a = coupling[:, list(analytics._PAIRED)]
+                b = coupling[:, list(analytics._OTHERS)]
+                want = (-np.conj(a)).view(np.float64)
+                got = b.view(np.float64)
+                assert np.array_equal(got, want), (shape, lam)
+                kept = want != 0.0
+                assert np.array_equal(got.view(np.uint64)[kept],
+                                      want.view(np.uint64)[kept]), (shape, lam)
+
+    def test_one_sided_numerator_matches_two_sided_sums(self):
+        # the numerator from a's side alone is the two-sided sums' to the
+        # last bit, at series orders 0 to 2 on and off a fringe top
+        batches = [[operation_from_table(kind, n, tau) for tau in (0.3, 0.8, 1.0)]
+                   for kind, n in (("sym-pc", 2), ("asym-pa", 1), ("sym-ps", 1))]
+        batches.append([NGOperationSpec(1, 2, 1, 2, 0.6, 0.8),
+                        NGOperationSpec(1, 2, 1, 2, 0.3, 0.95)])
+        for specs in batches:
+            for lam in (1e-14, 0.5, 0.97):
+                batch = analytics._herald(lam, tuple(specs))
+                for phi in (0.3, 0.01 + math.pi / 2, math.pi / 2):
+                    for order in (0, 1, 2):
+                        got = analytics._parity_numerator(batch, phi, order,
+                                                          list(batch.faults))
+                        want = two_sided_numerator(batch, phi, order)
+                        assert np.array_equal(got, want), (specs[0], lam, phi, order)
 
 
 class TestMoments:
@@ -1233,6 +1270,44 @@ def _sym_pc_2_row(n: int) -> list:
     return [operation_from_table("sym-pc", 2, tau) for tau in np.linspace(0.01, 1.0, n).tolist()]
 
 
+_SHAPES = [f"{kind}-{n}" for kind in _KINDS for n in (1, 2)] + ["pc-1-2", "tmsv"]
+
+
+def _shape_row(shape: str, taus: list) -> list:
+    """The operations of a row over ``taus`` of a shape of ``_SHAPES``: a
+    preset, ``pc-1-2`` (photons (1, 2, 1, 2) at tau1 = tau2 = tau) or
+    ``tmsv``."""
+    if shape == "tmsv":
+        return [tmsv_spec()] * len(taus)
+    if shape == "pc-1-2":
+        return [NGOperationSpec(1, 2, 1, 2, tau, tau) for tau in taus]
+    kind, n = shape.rsplit("-", 1)
+    return [operation_from_table(kind, int(n), tau) for tau in taus]
+
+
+# Traced peaks in bytes of evaluate_chunk over a 21-tau row at lambda = 0.5
+# per shape, for parity, sensitivity, merit and weighted_merit, each at
+# phi = 0.01 and then phi = 0, at the commit whose quadrature built b's side
+# of its own (Python 3.11, numpy 2.4). Merit and weighted merit at phi = 0
+# read the stationary reference and run no quadrature.
+_ROW_PEAKS = {
+    "asym-ps-1": (27_480, 27_464, 33_392, 33_344, 33_312, 27_392, 33_248, 27_352),
+    "asym-ps-2": (29_634, 29_504, 40_087, 50_896, 40_087, 27_336, 40_144, 27_336),
+    "asym-pa-1": (27_336, 27_336, 33_079, 33_079, 33_079, 27_336, 33_136, 27_336),
+    "asym-pa-2": (29_545, 29_488, 40_201, 50_896, 40_144, 27_336, 40_144, 27_336),
+    "asym-pc-1": (39_158, 39_101, 57_365, 75_566, 57_365, 27_336, 57_365, 27_336),
+    "asym-pc-2": (60_885, 60_885, 97_629, 134_253, 97_629, 28_168, 97_629, 28_168),
+    "sym-ps-1": (39_360, 39_303, 57_567, 75_711, 57_567, 27_336, 57_624, 27_336),
+    "sym-ps-2": (61_087, 61_087, 97_831, 134_455, 97_831, 28_168, 97_831, 28_168),
+    "sym-pa-1": (39_303, 39_303, 57_567, 75_711, 57_567, 27_336, 57_624, 27_336),
+    "sym-pa-2": (61_087, 61_087, 97_888, 134_455, 97_831, 28_168, 97_831, 28_168),
+    "sym-pc-1": (107_789, 107_789, 177_575, 247_013, 177_461, 53_368, 177_461, 53_368),
+    "sym-pc-2": (528_274, 528_103, 548_736, 539_894, 548_565, 386_776, 548_679, 386_776),
+    "pc-1-2": (213_229, 213_343, 355_477, 497_605, 355_591, 118_024, 355_534, 118_024),
+    "tmsv": (27_336, 27_336, 27_336, 27_336, 27_336, 27_336, 27_336, 27_336),
+}
+
+
 def _pointwise(request):
     """The (repr(value), status) of every grid point of ``request``, in grid
     order, from the public per-point functions; an error that is not a
@@ -1411,6 +1486,25 @@ class TestBatchedSweep:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.10 * 609_931, (n, phi, peak)
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_row_memory_of_every_shape(self, shape):
+        # evaluate_chunk over a 21-tau row of each photon shape stays within
+        # 1.10x its traced peak before the quadrature derived b's side from
+        # a's. qfi and qcrb are left out: their moment tables are built one
+        # state at a time, outside the fills' byte budget.
+        specs = _shape_row(shape, np.linspace(0.01, 1.0, 21).tolist())
+        cases = [(q, phi) for q in ("parity", "sensitivity", "merit", "weighted_merit")
+                 for phi in (0.01, 0.0)]
+        for (quantity, phi), before in zip(cases, _ROW_PEAKS[shape]):
+            analytics.evaluate_chunk(quantity, 0.5, specs, [phi])  # plans are cached
+            tracemalloc.start()
+            try:
+                analytics.evaluate_chunk(quantity, 0.5, specs, [phi])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.10 * before, (quantity, phi, peak, before)
 
     @pytest.mark.parametrize("preset, tau", [
         ("sym-pc-2", "0.01:1.0:21"), ("sym-pc-2", "0.01:1.0:62"),

@@ -292,7 +292,8 @@ class TestTables:
             assert float(real(0.1)) != 0.1
             assert to_csv(narrow) == to_csv(wide)
             assert to_json(narrow) == to_json(wide)
-            assert records_from_json(to_json(narrow)) == wide
+            # a degenerate row with a value is written but not read back
+            assert records_from_json(to_json(narrow[:1])) == wide[:1]
 
     def test_csv_leaves_failed_values_empty(self):
         req = SweepRequest(quantity="qfi", lam_axis=Axis((0.0,)),
@@ -324,8 +325,13 @@ class TestTables:
                     "value": r.value, "status": r.status} for r in records]
         text = to_json(records)
         assert text == json.dumps(payload, indent=2) + "\n"
-        # repr tells -0.0 from 0.0 and compares nan with nan
-        assert repr(records_from_json(text)) == repr(records)
+        # repr tells -0.0 from 0.0 and compares nan with nan; a row is read
+        # back only when it has a value exactly when its status is 'ok'
+        if all((r.value is None) != (r.status == "ok") for r in records):
+            assert repr(records_from_json(text)) == repr(records)
+        else:
+            with pytest.raises(UsageError, match="has a wrong 'value' for status"):
+                records_from_json(text)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.builds(
@@ -346,7 +352,7 @@ class TestTables:
         ("lambda,value", "cannot read"),
         (None, "cannot read"),
         ('[{"lambda": 0.5, "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": null,'
-         ' "status": "ok"}, {"lambda": 0.5}]', "row 1 has no 'tau1'"),
+         ' "status": "degenerate"}, {"lambda": 0.5}]', "row 1 has no 'tau1'"),
         ('[{"lambda": "0.5", "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": null,'
          ' "status": "ok"}]', "row 0 has a wrong 'lambda'"),
         ('[{"lambda": 0.5, "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": true,'
@@ -355,8 +361,13 @@ class TestTables:
          ' "status": "ok"}]', "row 0 has a wrong 'phi'"),
         ('[{"lambda": 0.5, "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": 1.0,'
          ' "status": "fine"}]', "row 0 has a wrong 'status'"),
+        ('[{"lambda": 0.5, "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": null,'
+         ' "status": "ok"}]', "row 0 has a wrong 'value' for status 'ok'"),
+        ('[{"lambda": 0.5, "tau1": 1.0, "tau2": 0.5, "phi": 0.01, "value": 0.2,'
+         ' "status": "degenerate"}]', "row 0 has a wrong 'value' for status 'degenerate'"),
     ], ids=["int-row", "missing-field", "object", "not-json", "none", "second-row",
-            "str-lambda", "bool-value", "null-phi", "unknown-status"])
+            "str-lambda", "bool-value", "null-phi", "unknown-status", "null-ok",
+            "degenerate-value"])
     def test_malformed_json_is_a_usage_error(self, text, match):
         with pytest.raises(UsageError, match=match):
             records_from_json(text)

@@ -6,7 +6,8 @@ baseline. Each run below starts an interpreter with the host's targets
 disabled from the top down (``NPY_DISABLE_CPU_FEATURES``), to the baseline,
 and reruns there the moments digests, the Wigner kernel's bit check, the
 figures-of-merit and fringe-top digests (which read the parity quadrature's
-``einsum`` contractions) and the dense engine's array digest.
+``einsum`` contractions), the one-sided quadrature's check against the
+two-sided sums and the dense engine's array digest.
 """
 
 import os
@@ -27,6 +28,7 @@ t.TestMoments().test_high_order_moments_digest()
 t.TestWigner().test_kernel_matches_tensordot_contraction()
 t.TestReports().test_figures_of_merit_digest()
 t.TestParitySignal().test_fringe_top_series_digest()
+t.TestParitySignal().test_one_sided_numerator_matches_two_sided_sums()
 t.TestHeraldingArray().test_batch_of_one_holds_the_real_part_of_the_single_exponent()
 """
 
