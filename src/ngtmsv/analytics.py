@@ -41,14 +41,14 @@ from .errors import (
 from .model import (
     ModelParams,
     NGOperationSpec,
+    _MOMENT_COUPLING_SCALE,
+    _MOMENT_FORM_SCALE,
     _PROB_SIGNS,
     _check_lambda,
     _is_double,
     _is_real,
     _parity_norm,
     derive_params,
-    moment_coupling,
-    moment_source_form,
     phase_space_form,
     wigner_aux_form,
     wigner_coupling,
@@ -69,6 +69,7 @@ _SLOPE_FLOOR = 1e-14
 _PARITY_SLACK = 1e-9
 _TOP_WINDOW = 2.0 ** -30  # |cos phi| within which the slope is read from the curvature
 _DEFAULT_MOMENT_CAP = 4
+_ONE = np.complex128(1.0)  # the kernel's first power: Python's complex / rounds otherwise
 
 def _real(value, what: str) -> float:
     """Discard an imaginary residue after checking it is negligible."""
@@ -106,8 +107,8 @@ def _as_point(point) -> tuple:
         raise ParameterError("phase-space point needs 4 coordinates (q1, p1, q2, p2)")
     if not all(map(_is_real, vals)):
         raise ParameterError(f"phase-space coordinates must be real numbers, got {vals!r}")
-    vals = tuple(float(v) for v in vals)
-    if not all(math.isfinite(v) for v in vals):
+    vals = tuple(map(float, vals))
+    if not all(map(math.isfinite, vals)):
         raise ParameterError("phase-space coordinates must be finite")
     return vals
 
@@ -275,8 +276,9 @@ def _herald(lam: float, specs: tuple) -> _Batch:
 class _State:
     """State ``index`` of ``batch``, with scalar parameters.
 
-    The dense coefficients, the kernel and the moment contractions are
-    derived from the batch's blocks on first use and kept.
+    The dense coefficients, the Wigner coupling and phase-space form, the
+    kernel and the moment contractions are derived on first use and kept:
+    the kernel and the moment tables read the same read-only arrays.
     """
 
     batch: _Batch
@@ -301,14 +303,23 @@ class _State:
         return _frozen(out)[0]
 
     @functools.cached_property
+    def coupling(self) -> np.ndarray:
+        """:func:`~ngtmsv.model.wigner_coupling` of the state."""
+        return _frozen(wigner_coupling(self.params))[0]
+
+    @functools.cached_property
+    def form(self) -> np.ndarray:
+        """:func:`~ngtmsv.model.phase_space_form` of the state."""
+        return _frozen(phase_space_form(self.params))[0]
+
+    @functools.cached_property
     def kernel(self) -> WignerKernel:
         params = self.params
         prob = self.core / params.base_norm  # unclamped: the kernel integrates to 1
         _check_floor(prob, "normalized Wigner")
         scale = 1.0 / (params.base_norm * math.pi ** 2 * prob)
-        return WignerKernel(coeffs=self.coeffs, coupling=wigner_coupling(params),
-                            quad=tuple(map(tuple, phase_space_form(params).tolist())),
-                            scale=scale)
+        return WignerKernel(coeffs=self.coeffs, coupling=self.coupling,
+                            quad=tuple(map(tuple, self.form.tolist())), scale=scale)
 
 
 # Public entry points share the last evaluation, a batch of one, and hand
@@ -359,8 +370,15 @@ class WignerKernel:
         return self._value(_as_point(point))
 
     def _value(self, xi: tuple) -> float:  # at a checked point
-        expo = sum(self.quad[i][j] * xi[i] * xi[j]
-                   for i in range(4) for j in range(4))
+        # quad[i][j] * xi[i] * xi[j] summed left to right over (i, j) in
+        # row-major order: from Python 3.12 the built-in sum() of floats is
+        # compensated, and would round otherwise.
+        x0, x1, x2, x3 = xi
+        q0, q1, q2, q3 = self.quad
+        expo = (q0[0] * x0 * x0 + q0[1] * x0 * x1 + q0[2] * x0 * x2 + q0[3] * x0 * x3
+                + q1[0] * x1 * x0 + q1[1] * x1 * x1 + q1[2] * x1 * x2 + q1[3] * x1 * x3
+                + q2[0] * x2 * x0 + q2[1] * x2 * x1 + q2[2] * x2 * x2 + q2[3] * x2 * x3
+                + q3[0] * x3 * x0 + q3[1] * x3 * x1 + q3[2] * x3 * x2 + q3[3] * x3 * x3)
         gauss = math.exp(expo)
         if not gauss > 0.0:
             # Far out the Gaussian underflows (its terms may even overflow to
@@ -369,10 +387,10 @@ class WignerKernel:
             return 0.0
         num = self.coeffs
         for k, ell in zip(num.shape, self.coupling @ xi):
-            powers = [power := np.complex128(1.0)]  # Python's complex / rounds otherwise
+            powers = [power := _ONE]
             for j in range(1, k):
                 powers.append(power := power * ell / j)
-            num = np.array(powers) @ num.reshape(k, -1)
+            num = np.dot(powers, num.reshape(k, -1))
         val = _real(complex(num[0]), "Wigner numerator")
         return self.scale * val * gauss
 
@@ -420,21 +438,21 @@ def _moment(state: _State, idx: tuple) -> float:
     if order not in state.moments:
         state.moments[order] = _moment_tables(state, order)
     h, m = state.moments[order]
-    h_at, m_at = _moment_plan(idx, state.coeffs.shape, order)
+    h_at, m_at, factorials = _moment_plan(idx, state.coeffs.shape, order)
     num = 0  # Python's complex product and sum are numpy's scalar ones
     for a, b in zip(h.take(h_at).tolist(), m.take(m_at).tolist()):
         num += a * b
     # a[k - j] = D^k D^j aux[k - j]: D^j sits in the couplings of
     # _moment_tables, D^k is (-1)^photons.
-    num = num * complex((-1) ** state.spec.total_photons * math.prod(map(math.factorial, idx)))
+    num = num * complex((-1) ** state.spec.total_photons * factorials)
     return _real(num, "moment numerator") / state.core
 
 
 @functools.lru_cache(maxsize=256)
 def _moment_plan(idx: tuple, shape: tuple, order: int) -> tuple:
     """The flat positions in h and m of the terms h[idx - g - d] m[g, d] of
-    :func:`_moment`, in summing order; a g or d past the tables' degree
-    has A_g = 0 or B_d = 0, and no term."""
+    :func:`_moment`, in summing order, and prod(idx_i!); a g or d past the
+    tables' degree has A_g = 0 or B_d = 0, and no term."""
     rows, cols = ({g: n for n, g in enumerate(
         g for exps, *_ in _power_plan(half, order)[0] for g in map(tuple, exps.tolist()))}
         for half in (shape[:4], shape[4:]))
@@ -443,7 +461,8 @@ def _moment_plan(idx: tuple, shape: tuple, order: int) -> tuple:
         for gam in itertools.product(*(range(i + 1) for i in idx)) if gam in rows
         for dlt in itertools.product(*(range(i - g + 1) for i, g in zip(idx, gam)))
         if dlt in cols))
-    return _frozen(np.ravel_multi_index(np.array(h_at).T, (order + 1,) * 4), np.array(m_at))
+    return (*_frozen(np.ravel_multi_index(np.array(h_at).T, (order + 1,) * 4), np.array(m_at)),
+            math.prod(map(math.factorial, idx)))
 
 
 def _moment_tables(state: _State, order: int):
@@ -454,10 +473,10 @@ def _moment_tables(state: _State, order: int):
     (last) half for the g (d) of :func:`_power_plan`. The columns c_b of the
     moment coupling carry the probability signs D on their rows, so the
     Wigner-signed ``coeffs`` can be contracted."""
-    h = coefficient_array(GeneratingExponent(4, moment_source_form(state.params)),
+    h = coefficient_array(GeneratingExponent(4, _MOMENT_FORM_SCALE * state.form),
                           DerivativeSpec((order,) * 4))[0]
     shape = state.coeffs.shape
-    coupling = moment_coupling(state.params) * _PROB_SIGNS[:, None]
+    coupling = _MOMENT_COUPLING_SCALE * state.coupling * _PROB_SIGNS[:, None]
     first = _power_products(coupling[:4], shape[:4], order)
     last = _power_products(coupling[4:], shape[4:], order)
     coeffs = state.coeffs.reshape(first.shape[1], last.shape[1])

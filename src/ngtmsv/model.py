@@ -333,18 +333,22 @@ def probability_form(p: ModelParams):
 # R = diag(1,1,-1,-1,-1,-1,1,1) on u.
 _D = np.array([1.0, 1.0, -1.0, -1.0])
 _R = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
+# The elementwise factors 1/2 R . D and -1/4 D . D of the moment blocks: a
+# heralded state applies them to the Wigner blocks it already holds.
+_MOMENT_COUPLING_SCALE = 0.5 * _R[:, None] * _D
+_MOMENT_FORM_SCALE = -0.25 * _D[:, None] * _D
 
 
 def moment_coupling(p: ModelParams):
     """8x4 coupling of u to the moment source vector x: 1/2 R C D, where C
     is :func:`wigner_coupling`."""
-    return 0.5 * _R[:, None] * _D * wigner_coupling(p)
+    return _MOMENT_COUPLING_SCALE * wigner_coupling(p)
 
 
 def moment_source_form(p: ModelParams):
     """4x4 quadratic form in the moment source vector x: -1/4 D S D, where S
     is :func:`phase_space_form`."""
-    return -0.25 * _D[:, None] * _D * phase_space_form(p)
+    return _MOMENT_FORM_SCALE * phase_space_form(p)
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,19 @@ def _plain(rows: list) -> bool:
             and math.isfinite(sum(map(sum, columns[:5]))))
 
 
+def _checked(rows: list):
+    """The rows, each checked to hold a value exactly when its status is
+    'ok', as :func:`records_from_json` checks a row it reads."""
+    for n, row in enumerate(rows):
+        _check_value(n, row[4], row[5])
+        yield row
+
+
+def _check_value(n: int, value, status) -> None:
+    if (value is None) == (status == "ok"):  # only 'ok' has a value
+        raise UsageError(f"records: row {n} has a wrong 'value' for status {status!r}")
+
+
 def _csv_scalar(value) -> str:
     """A float, numpy's included, as JSON writes it (``float.__repr__``), else its ``repr``."""
     return float.__repr__(float(value)) if isinstance(value, _FLOATS) else repr(value)
@@ -283,7 +296,8 @@ def _csv_scalar(value) -> str:
 
 def to_csv(records) -> str:
     """Render records as CSV. Floats use shortest round-trip formatting;
-    non-ok rows leave the value column empty."""
+    non-ok rows leave the value column empty. A record whose value and
+    status disagree raises :class:`~ngtmsv.errors.UsageError`."""
     rows = list(map(_FIELDS, records))
     if _plain(rows):
         lines = [f"{lam!r},{t1!r},{t2!r},{phi!r},{value!r},ok"
@@ -291,7 +305,7 @@ def to_csv(records) -> str:
     else:
         lines = [",".join((*map(_csv_scalar, (lam, t1, t2, phi)),
                            _csv_scalar(value) if status == "ok" else "", status))
-                 for lam, t1, t2, phi, value, status in rows]
+                 for lam, t1, t2, phi, value, status in _checked(rows)]
     return "\n".join((CSV_HEADER, *lines)) + "\n"
 
 
@@ -311,6 +325,8 @@ def _json_scalar(value) -> str:
 
 def to_json(records) -> str:
     """Render records as a JSON array of objects (value null when not ok).
+    A record whose value and status disagree raises
+    :class:`~ngtmsv.errors.UsageError`.
 
     The text is ``json.dumps(rows, indent=2) + "\\n"`` of the rows, byte for
     byte, written directly: with an indent, json runs its pure-Python
@@ -320,7 +336,7 @@ def to_json(records) -> str:
     if _plain(rows):
         text = ",\n".join(map(_JSON_PLAIN_ROW.__mod__, rows))
     else:
-        text = ",\n".join(_JSON_ROW % tuple(map(_json_scalar, row)) for row in rows)
+        text = ",\n".join(_JSON_ROW % tuple(map(_json_scalar, row)) for row in _checked(rows))
     return f"[\n{text}\n]\n" if text else "[]\n"
 
 
@@ -350,8 +366,7 @@ def records_from_json(text: str) -> list:
                 wrong = not (_is_real(value) or key == "value" and value is None)
             if wrong:
                 raise UsageError(f"records: row {n} has a wrong {key!r}: {value!r}")
-        if (row["value"] is None) == (row["status"] == "ok"):  # only 'ok' has a value
-            raise UsageError(f"records: row {n} has a wrong 'value' for status {row['status']!r}")
+        _check_value(n, row["value"], row["status"])
         out.append(SweepRecord(*(row[key] for key in _JSON_FIELDS)))
     return out
 
@@ -387,20 +402,26 @@ _TAU_OPEN = ("0.01:0.99:101", "tau")
 _PHI_CURVE = ("0.01:1.5:101", "phi")
 
 
-def _req(quantity, preset=None, photons=None, lam="0.4", tau="0.9",
-         phi="0.01") -> SweepRequest:
-    return SweepRequest(
-        quantity=quantity,
-        preset=preset,
-        photons=photons,
-        lam_axis=parse_axis(lam, "lambda"),
-        tau_axis=parse_axis(tau, "tau"),
-        phi_axis=parse_axis(phi, "phi"),
-    )
-
-
 def _figures() -> dict:
     figs: dict = {}
+    axes: dict = {}  # text -> Axis: the requests share one frozen Axis per text
+
+    def axis(text, key):
+        if text not in axes:
+            axes[text] = parse_axis(text, key)
+        return axes[text]
+
+    def _req(quantity, preset=None, photons=None, lam="0.4", tau="0.9",
+             phi="0.01") -> SweepRequest:
+        return SweepRequest(
+            quantity=quantity,
+            preset=preset,
+            photons=photons,
+            lam_axis=axis(lam, "lambda"),
+            tau_axis=axis(tau, "tau"),
+            phi_axis=axis(phi, "phi"),
+        )
+
     # probability heatmaps over (lambda, tau)
     panels = [
         ("fig2a", "asym-ps-1"), ("fig2b", "asym-ps-2"),

@@ -862,23 +862,39 @@ class TestWigner:
 
     def test_kernel_matches_tensordot_contraction(self):
         # the kernel contracts one axis at a time; the reference is the
-        # tensordot it replaced, and the arithmetic is the same
+        # tensordot it replaced, and the arithmetic is the same. The exponent
+        # is summed left to right, as the kernel sums it, not by sum(): from
+        # Python 3.12 that is compensated and rounds otherwise. Every preset
+        # shape, mixed photon numbers and the bare TMSV; random points and
+        # signed zeros, a far point, a PhaseSpacePoint, ints and float32.
         rng = np.random.default_rng(5)
-        for kind, n in [("asym-ps", 1), ("asym-pc", 2), ("sym-pa", 1),
-                        ("sym-pc", 2)]:
-            kernel = wigner_polynomial(0.6, operation_from_table(kind, n, 0.4))
-            for _ in range(5):
-                pt = tuple(rng.uniform(-1.5, 1.5, size=4))
-                num = kernel.coeffs
-                for ell in kernel.coupling @ pt:
-                    powers = np.ones(num.shape[0], dtype=np.complex128)
-                    for j in range(1, len(powers)):
-                        powers[j] = powers[j - 1] * ell / j
-                    num = np.tensordot(powers, num, axes=1)
-                expo = sum(kernel.quad[i][j] * pt[i] * pt[j]
-                           for i in range(4) for j in range(4))
-                want = kernel.scale * complex(num).real * math.exp(expo)
-                assert kernel(pt) == want, (kind, n, pt)
+        specs = [operation_from_table(kind, n, 0.4)
+                 for kind in ("asym-ps", "asym-pa", "asym-pc", "sym-ps", "sym-pa", "sym-pc")
+                 for n in (1, 2)]
+        specs += [NGOperationSpec(1, 2, 1, 2, 0.4, 0.4), tmsv_spec()]
+        special = [(0.0, -0.0, 0.0, -0.0), (-0.0, -0.0, -0.0, -0.0), (1e200, 0.0, 0.0, 0.0),
+                   PhaseSpacePoint(0.1, -0.7, 0.3, 1.2), (1, -2, 0, 1),
+                   tuple(np.float32(v) for v in (0.3, -1.1, 0.7, 0.05))]
+        for spec in specs:
+            kernel = wigner_polynomial(0.6, spec)
+            points = [tuple(rng.uniform(-1.5, 1.5, size=4)) for _ in range(5)] + special
+            for point in points:
+                pt = tuple(map(float, point.as_tuple() if isinstance(point, PhaseSpacePoint)
+                               else point))
+                expo = 0.0
+                for i in range(4):
+                    for j in range(4):
+                        expo = expo + kernel.quad[i][j] * pt[i] * pt[j]
+                want = 0.0
+                if math.exp(expo) > 0.0:  # else the kernel's value is 0
+                    num = kernel.coeffs
+                    for ell in kernel.coupling @ pt:
+                        powers = np.ones(num.shape[0], dtype=np.complex128)
+                        for j in range(1, len(powers)):
+                            powers[j] = powers[j - 1] * ell / j
+                        num = np.tensordot(powers, num, axes=1)
+                    want = kernel.scale * complex(num).real * math.exp(expo)
+                assert kernel(point) == want, (spec, point)
 
     @pytest.mark.parametrize("point", [
         (1e80, 0.0, 0.0, 0.0), (1e160, 0.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0),
@@ -1093,6 +1109,26 @@ class TestStateCache:
                 moment(lam, spec, idx)
         qfi(lam, spec)
         assert calls == [("pair_blocks", (1, 8, 8)), ("coefficient_array", (4, 4))]
+
+    def test_probe_derives_forms_once(self, monkeypatch):
+        # a state's kernel and its moment tables read one Wigner coupling
+        # and one phase-space form, derived once per state
+        calls = []
+        for name in ("wigner_coupling", "phase_space_form"):
+            def counting(params, name=name, real=getattr(model, name)):
+                calls.append(name)
+                return real(params)
+
+            monkeypatch.setattr(model, name, counting)
+            monkeypatch.setattr(analytics, name, counting)
+        analytics._heralding.cache_clear()
+        lam, spec = 0.45, operation_from_table("sym-pc", 1, 0.35)
+        wigner_polynomial(lam, spec)((0.1, 0.2, -0.3, 0.4))
+        for idx in itertools.product(range(3), repeat=4):
+            if sum(idx) <= 2:
+                moment(lam, spec, idx)
+        qfi(lam, spec)
+        assert sorted(calls) == ["phase_space_form", "wigner_coupling"]
 
     def test_shape_plans_are_shared_and_read_only(self):
         # every lru_cache of the package is bounded (the Fock oracle, a test

@@ -285,15 +285,17 @@ class TestTables:
         assert to_json(records) == to_json(plain)
         assert to_csv(records).splitlines()[1].startswith("0.5,1.0,0.5,0.01,")
         # a float16 or float32 is written as the double it equals exactly
-        rows = [(0.5, 1.0, 0.3, 0.01, 0.1, "ok"), (0.1, 0.7, 1.0, 1e-3, 0.2, "degenerate")]
+        rows = [(0.5, 1.0, 0.3, 0.01, 0.1, "ok"), (0.1, 0.7, 1.0, 1e-3, None, "degenerate")]
         for real in (np.float16, np.float32):
-            narrow = [SweepRecord(*map(real, row[:5]), row[5]) for row in rows]
-            wide = [SweepRecord(*map(float, map(real, row[:5])), row[5]) for row in rows]
+            def cast(row, to):
+                return SweepRecord(*(None if v is None else to(real(v)) for v in row[:5]), row[5])
+
+            narrow = [cast(row, real) for row in rows]
+            wide = [cast(row, float) for row in rows]
             assert float(real(0.1)) != 0.1
             assert to_csv(narrow) == to_csv(wide)
             assert to_json(narrow) == to_json(wide)
-            # a degenerate row with a value is written but not read back
-            assert records_from_json(to_json(narrow[:1])) == wide[:1]
+            assert records_from_json(to_json(narrow)) == wide
 
     def test_csv_leaves_failed_values_empty(self):
         req = SweepRequest(quantity="qfi", lam_axis=Axis((0.0,)),
@@ -321,29 +323,49 @@ class TestTables:
         SweepRecord, _FLOATS, _FLOATS, _FLOATS, _FLOATS, st.one_of(st.none(), _FLOATS),
         st.sampled_from(["ok", "degenerate", "stationary"])), max_size=4))
     def test_json_is_what_json_dumps_writes(self, records):
+        # a row is written, and read back, only when it has a value exactly
+        # when its status is 'ok'
+        if not all((r.value is None) != (r.status == "ok") for r in records):
+            with pytest.raises(UsageError, match="has a wrong 'value' for status"):
+                to_json(records)
+            return
         payload = [{"lambda": r.lam, "tau1": r.tau1, "tau2": r.tau2, "phi": r.phi,
                     "value": r.value, "status": r.status} for r in records]
         text = to_json(records)
         assert text == json.dumps(payload, indent=2) + "\n"
-        # repr tells -0.0 from 0.0 and compares nan with nan; a row is read
-        # back only when it has a value exactly when its status is 'ok'
-        if all((r.value is None) != (r.status == "ok") for r in records):
-            assert repr(records_from_json(text)) == repr(records)
-        else:
-            with pytest.raises(UsageError, match="has a wrong 'value' for status"):
-                records_from_json(text)
+        # repr tells -0.0 from 0.0 and compares nan with nan
+        assert repr(records_from_json(text)) == repr(records)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.builds(
-        SweepRecord, _FLOATS, _FLOATS, _FLOATS, _FLOATS, _FLOATS,
+        SweepRecord, _FLOATS, _FLOATS, _FLOATS, _FLOATS, st.one_of(st.none(), _FLOATS),
         st.sampled_from(["ok", "ok", "degenerate"])), max_size=4))
     @example([SweepRecord(0.5, 1.0, 0.5, 0.01, 0.25, "ok"),
-              SweepRecord(0.5, 1.0, 0.6, 0.01, 0.25, "degenerate")])
+              SweepRecord(0.5, 1.0, 0.6, 0.01, None, "degenerate")])
     def test_csv_writes_each_float_by_repr(self, records):
+        # a row is written only when it has a value exactly when its status is 'ok'
+        if not all((r.value is None) != (r.status == "ok") for r in records):
+            with pytest.raises(UsageError, match="has a wrong 'value' for status"):
+                to_csv(records)
+            return
         lines = [",".join((repr(r.lam), repr(r.tau1), repr(r.tau2), repr(r.phi),
                            repr(r.value) if r.status == "ok" else "", r.status))
                  for r in records]
         assert to_csv(records) == "\n".join((CSV_HEADER, *lines)) + "\n"
+
+    @pytest.mark.parametrize("write", [to_csv, to_json])
+    @pytest.mark.parametrize("records, match", [
+        ([SweepRecord(0.5, 1.0, 0.5, 0.01, None, "ok")], "row 0 has a wrong 'value' for status 'ok'"),
+        ([SweepRecord(0.5, 1.0, 0.5, 0.01, 0.25, "ok"),
+          SweepRecord(0.5, 1.0, 0.6, 0.01, 0.3, "degenerate")],
+         "row 1 has a wrong 'value' for status 'degenerate'"),
+        ([SweepRecord(0.5, 1.0, 0.5, 0.01, np.float32(0.3), "stationary")],
+         "row 0 has a wrong 'value' for status 'stationary'"),
+    ], ids=["null-ok", "degenerate-value", "stationary-value"])
+    def test_writers_refuse_a_value_that_disagrees_with_its_status(self, write, records, match):
+        # what records_from_json refuses to read, neither writer writes
+        with pytest.raises(UsageError, match=match):
+            write(records)
 
     @pytest.mark.parametrize("text, match", [
         ("[1]", "row 0 is not an object"),

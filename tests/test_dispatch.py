@@ -4,10 +4,12 @@ numpy picks its SIMD loops when it is imported, per CPU, and its vector
 complex multiply fuses products (FMA) on some targets but not on its
 baseline. Each run below starts an interpreter with the host's targets
 disabled from the top down (``NPY_DISABLE_CPU_FEATURES``), to the baseline,
-and reruns there the moments digests, the Wigner kernel's bit check, the
-figures-of-merit and fringe-top digests (which read the parity quadrature's
-``einsum`` contractions), the one-sided quadrature's check against the
-two-sided sums and the dense engine's array digest.
+and reruns there the moments digests, the Wigner kernel's bit check (every
+preset shape, mixed photon numbers and the bare TMSV, at random points and at
+signed zeros, a far point, a ``PhaseSpacePoint``, int and float32
+coordinates), the figures-of-merit and fringe-top digests (which read the
+parity quadrature's ``einsum`` contractions), the one-sided quadrature's
+check against the two-sided sums and the dense engine's array digest.
 """
 
 import os
