@@ -172,12 +172,6 @@ def _pick(values: np.ndarray, faults: list, index: int) -> float:
     return float(values[index])
 
 
-def _scale(spec: NGOperationSpec) -> float:
-    """``prefactor * prod(k_i!)`` of the heralding derivative."""
-    dspec = spec.derivative_spec()
-    return dspec.prefactor * math.prod(map(math.factorial, dspec.orders))
-
-
 # The squeezer and the beam splitters create and detect photons in pairs:
 # wigner_aux_form pairs the variables (u1, v2, u1', v2') only with
 # (v1, u2, v1', u2'), and each half has the orders (m1, m2, n1, n2).
@@ -212,11 +206,14 @@ class _Batch:
     other coefficient is zero. ``core`` is the heralding derivative of the
     probability form and ``prob`` the success probability, per state.
     ``faults`` holds, per state, the error its evaluation raises (or None);
-    such a state's other entries are not read.
+    such a state's other entries are not read. ``orders`` and ``scale``, the
+    heralding derivative's orders and ``prefactor * prod(k_i!)``, are shared.
     """
 
     params: ModelParams
     specs: tuple
+    orders: tuple
+    scale: float
     blocks: list
     core: np.ndarray
     prob: np.ndarray
@@ -238,10 +235,9 @@ class _Batch:
         phase-space entries (S11, S22) and (S13, S24) and the circle rule. An
         exponent of a variable of order 0 is 0, so dropping it keeps the order
         of the degrees' exponents."""
-        orders = self.specs[0].derivative_spec().orders
-        kept = [v for v in _PAIRED if orders[v]]
+        kept = [v for v in _PAIRED if self.orders[v]]
         s = phase_space_form(self.params)
-        return (_levels(tuple(orders[v] for v in kept)),
+        return (_levels(tuple(self.orders[v] for v in kept)),
                 wigner_coupling(self.params)[:, kept],
                 (s[:, [0, 1], [0, 1]], s[:, [0, 1], [2, 3]]),
                 _circle_rule(self.specs[0].total_photons + 1))
@@ -252,7 +248,8 @@ def _herald(lam: float, specs: tuple) -> _Batch:
     fill of their heralding blocks: the only place the heralding core is
     computed, so every normalized quantity divides by the same number."""
     params = derive_params(lam, specs)
-    orders = specs[0].derivative_spec().orders
+    dspec = specs[0].derivative_spec()
+    orders, scale = dspec.orders, dspec.prefactor * math.prod(map(math.factorial, dspec.orders))
     blocks = pair_blocks(wigner_aux_form(params), _PAIRED, orders)
     _frozen(*blocks)
     # a and b have the same orders, so the top degree holds only the corner
@@ -261,15 +258,15 @@ def _herald(lam: float, specs: tuple) -> _Batch:
     if specs[0].total_photons % 2:
         corner = -corner
     faults = [None] * len(specs)
-    core = _scale(specs[0]) * corner
+    core = scale * corner
     _fail(faults, core < -_RESIDUE_TOL, lambda b: ConsistencyError(
         f"heralding probability core is negative ({core[b]:.3e})"))
     core = np.where(core > 0.0, core, 0.0)  # an impossible herald gives +0.0
     p = core / params.base_norm
     _fail(faults, p > 1.0 + _RESIDUE_TOL,
           lambda b: ConsistencyError(f"heralding probability {p[b]} exceeds 1"))
-    return _Batch(params=params, specs=specs, blocks=blocks, core=core,
-                  prob=np.where(1.0 < p, 1.0, p), faults=tuple(faults))
+    return _Batch(params=params, specs=specs, orders=orders, scale=scale, blocks=blocks,
+                  core=core, prob=np.where(1.0 < p, 1.0, p), faults=tuple(faults))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,11 +292,9 @@ class _State:
         indexed by j, as a dense complex array: the kernel and the moments
         multiply it with complex factors, and a real array would be
         converted on every product."""
-        orders = self.spec.derivative_spec().orders
-        out = np.zeros(tuple(k + 1 for k in orders), dtype=np.complex128)
-        scale = _scale(self.spec)
-        for block, (rows, cols) in zip(self.batch.blocks, _dense_index(orders)):
-            out.reshape(-1)[rows[:, None] + cols] = scale * block[self.index]
+        out = np.zeros(tuple(k + 1 for k in self.batch.orders), dtype=np.complex128)
+        for block, (rows, cols) in zip(self.batch.blocks, _dense_index(self.batch.orders)):
+            out.reshape(-1)[rows[:, None] + cols] = self.batch.scale * block[self.index]
         return _frozen(out)[0]
 
     @functools.cached_property
@@ -659,16 +654,18 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
             "parity Gaussian must decay on the detection plane"))
         diag = np.where(grows[:, None], -0.5, diag)  # a stand-in for those states
     terms = order + 1
-    # the series of L and of N
+    # the series of L and of N; only a slope at a fringe top reads term 2
     scale = 1.0 / np.sqrt(-2.0 * diag)
     cube = scale ** 3
     d_diag = s_odd * cos_phi
-    scales = np.array([scale, cube * d_diag, 1.5 * scale ** 5 * d_diag ** 2
-                       - 0.5 * cube * s_odd * sin_phi]).swapaxes(0, 1)
     c, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
     rot = np.array([[c, 0.0], [0.0, c], [s, 0.0], [0.0, s]])
-    rots = np.array([rot, 0.5 * np.array([[-s, 0.0], [0.0, -s], [c, 0.0], [0.0, c]]),
-                     -0.125 * rot])
+    scales = [scale, cube * d_diag]
+    rots = [rot, 0.5 * np.array([[-s, 0.0], [0.0, -s], [c, 0.0], [0.0, c]])]
+    if order == 2:
+        scales.append(1.5 * scale ** 5 * d_diag ** 2 - 0.5 * cube * s_odd * sin_phi)
+        rots.append(-0.125 * rot)
+    scales, rots = np.array(scales).swapaxes(0, 1), np.array(rots)
     # the series of N L, term d the sum over e <= d of rots[e] scales[d - e],
     # and of l = C N L z per direction, with its terms reversed: the Cauchy
     # product's term k reads terms k, k - 1, ..., 0 of it in order
@@ -679,7 +676,7 @@ def _parity_numerator(batch: _Batch, phi: float, order: int,
     for rows in _slices(batch, terms):
         ells = np.einsum("xdvb,bn->xvdn", m[rows], nodes)[:, :, ::-1]
         sums[rows] = _direction_sums(levels, ells, [block[rows] for block in batch.blocks])
-    return _scale(batch.specs[0]) / nodes.shape[1] * sums
+    return batch.scale / nodes.shape[1] * sums
 
 
 def _direction_sums(levels: tuple, ells: np.ndarray, blocks: list) -> np.ndarray:
@@ -866,6 +863,12 @@ def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
     specs = _as_tuple(specs, "specs", "operations")
     if len({(_as_spec(s).m1, s.m2, s.n1, s.n2) for s in specs}) > 1:
         raise ParameterError("a chunk's specs must share their photon numbers (m1, m2, n1, n2)")
+    return _evaluate(quantity, lam, specs, phis, xi)
+
+
+def _evaluate(quantity: str, lam: float, specs: tuple, phis, xi) -> list:
+    """:func:`evaluate_chunk` on checked arguments (as a ``SweepRequest``
+    checks them); ``xi`` is the Wigner point as a tuple of floats, or None."""
     if not specs:
         return []
     outcomes = []

@@ -227,66 +227,85 @@ def run_sweep(request: SweepRequest) -> list:
     """Evaluate the grid; records come back in grid order (lambda outermost,
     then tau, then phi).
 
-    Who checks what: ``SweepRequest`` checks the axes; a preset's row of
-    operations comes from :func:`ngtmsv.model._preset_row`, which checks the
-    kind and n once per row, not once per spec, and each tau once as an
-    operation's tau; and ``NGOperationSpec`` checks an operation built from
-    ``photons``.
-    The points of a lambda-row share their photon numbers, so a row is one
-    call of :func:`ngtmsv.analytics.evaluate_chunk`, which evaluates it in
-    fills of the heralding blocks with a batch axis.
+    Who checks what: ``SweepRequest`` checks the axes and the Wigner point;
+    :func:`ngtmsv.model._preset_row` checks a preset's kind and n once per
+    row and each tau as an operation's tau; ``NGOperationSpec`` checks an
+    operation built from ``photons``. The evaluation checks none of it
+    again: the points of a lambda-row share their photon numbers, so a row
+    is one call of :func:`ngtmsv.analytics.evaluate_chunk`'s evaluation
+    without its checks, in fills of the heralding blocks with a batch axis.
     Every point gets the value and status it gets on its own, and an error
     that is not a status is raised from the first point in grid order that
     raises it.
     """
     kind, n = (None, 0) if request.preset is None else parse_preset(request.preset)
     taus = request.tau_axis.values
-    specs = [request.spec_for(tau) for tau in taus] if kind is None else _preset_row(kind, n, taus)
+    specs = tuple(map(request.spec_for, taus) if kind is None else _preset_row(kind, n, taus))
     phis = request.phi_axis.values
+    xi = analytics._as_point(request.point) if request.quantity == "wigner" else None
     points = [(spec.tau1, spec.tau2, phi) for spec in specs for phi in phis]
     records = []
     for lam in request.lam_axis.values:
-        outcomes = analytics.evaluate_chunk(request.quantity, lam, specs, phis, request.point)
+        outcomes = analytics._evaluate(request.quantity, lam, specs, phis, xi)
         records += [_record(lam, *point, out) for point, out in zip(points, outcomes)]
     return records
 
 
 def _record(lam: float, tau1: float, tau2: float, phi: float, outcome) -> SweepRecord:
+    """A point's record, filled in place from checked inputs: a frozen
+    dataclass's ``__init__`` sets each field through ``object.__setattr__``."""
     if type(outcome) is float:
-        return SweepRecord(lam, tau1, tau2, phi, outcome, "ok")
-    if isinstance(outcome, (DegenerateOperationError, DegenerateStateError)):
-        status = "degenerate"
+        value, status = outcome, "ok"
+    elif isinstance(outcome, (DegenerateOperationError, DegenerateStateError)):
+        value, status = None, "degenerate"
     elif isinstance(outcome, StationaryPointError):
-        status = "stationary"
+        value, status = None, "stationary"
     else:
         raise outcome
-    return SweepRecord(lam, tau1, tau2, phi, None, status)
+    record = object.__new__(SweepRecord)
+    vars(record).update(lam=lam, tau1=tau1, tau2=tau2, phi=phi, value=value, status=status)
+    return record
 
 
 _FIELDS = operator.attrgetter("lam", "tau1", "tau2", "phi", "value", "status")
 _FLOATS = (float, np.float16, np.float32)  # a narrow one is the double it equals
+_STATUSES = ("ok", "degenerate", "stationary")
+_JSON_FIELDS = ("lambda", "tau1", "tau2", "phi", "value", "status")
+_ABSENT = object()  # a field that a row read from JSON lacks
 
 
-def _plain(rows: list) -> bool:
-    """Whether the (lam, tau1, tau2, phi, value, status) rows hold only 'ok' and finite
-    Python floats (those of a finite sum), each then written as its ``repr``."""
+def _plain(rows: list):
+    """The ``repr`` texts of the (lam, tau1, tau2, phi, value) columns of rows
+    that hold only 'ok' and finite Python floats (those of a finite sum), else
+    None. A column of one nonzero value is formatted once (equal nonzero doubles
+    have the same bits); one that starts with a zero keeps 0.0 apart from -0.0."""
     columns = tuple(zip(*rows))
-    return (bool(columns) and columns[5].count("ok") == len(rows)
+    n = len(rows)
+    if not (columns and columns[5].count("ok") == n
             and set(map(type, itertools.chain(*columns[:5]))) == {float}
-            and math.isfinite(sum(map(sum, columns[:5]))))
+            and math.isfinite(sum(map(sum, columns[:5])))):
+        return None
+    return [[repr(col[0])] * n if col[0] and col.count(col[0]) == n else list(map(repr, col))
+            for col in columns[:5]]
 
 
-def _checked(rows: list):
-    """The rows, each checked to hold a value exactly when its status is
-    'ok', as :func:`records_from_json` checks a row it reads."""
-    for n, row in enumerate(rows):
-        _check_value(n, row[4], row[5])
-        yield row
-
-
-def _check_value(n: int, value, status) -> None:
-    if (value is None) == (status == "ok"):  # only 'ok' has a value
-        raise UsageError(f"records: row {n} has a wrong 'value' for status {status!r}")
+def _check_row(n: int, row) -> tuple:
+    """Row ``n``, its fields in the order of ``_JSON_FIELDS``, unless
+    :func:`records_from_json` refuses it: each field present, a status in
+    ``_STATUSES``, every other field real or a None value, and a value
+    exactly when the status is 'ok'."""
+    for key, value in zip(_JSON_FIELDS, row):
+        if value is _ABSENT:
+            raise UsageError(f"records: row {n} has no {key!r} field")
+        if key == "status":
+            wrong = value not in _STATUSES
+        else:
+            wrong = not (_is_real(value) or key == "value" and value is None)
+        if wrong:
+            raise UsageError(f"records: row {n} has a wrong {key!r}: {value!r}")
+    if (row[4] is None) == (row[5] == "ok"):  # only 'ok' has a value
+        raise UsageError(f"records: row {n} has a wrong 'value' for status {row[5]!r}")
+    return row
 
 
 def _csv_scalar(value) -> str:
@@ -296,23 +315,22 @@ def _csv_scalar(value) -> str:
 
 def to_csv(records) -> str:
     """Render records as CSV. Floats use shortest round-trip formatting;
-    non-ok rows leave the value column empty. A record whose value and
-    status disagree raises :class:`~ngtmsv.errors.UsageError`."""
+    non-ok rows leave the value column empty. A record that
+    :func:`records_from_json` would refuse as a row raises its
+    :class:`~ngtmsv.errors.UsageError`."""
     rows = list(map(_FIELDS, records))
-    if _plain(rows):
-        lines = [f"{lam!r},{t1!r},{t2!r},{phi!r},{value!r},ok"
-                 for lam, t1, t2, phi, value, _ in rows]
+    texts = _plain(rows)
+    if texts is not None:
+        lines = [f"{lam},{t1},{t2},{phi},{value},ok" for lam, t1, t2, phi, value in zip(*texts)]
     else:
         lines = [",".join((*map(_csv_scalar, (lam, t1, t2, phi)),
                            _csv_scalar(value) if status == "ok" else "", status))
-                 for lam, t1, t2, phi, value, status in _checked(rows)]
+                 for lam, t1, t2, phi, value, status in map(_check_row, itertools.count(), rows)]
     return "\n".join((CSV_HEADER, *lines)) + "\n"
 
 
-_STATUSES = ("ok", "degenerate", "stationary")
-_JSON_FIELDS = ("lambda", "tau1", "tau2", "phi", "value", "status")
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in _JSON_FIELDS) + "\n  }"
-_JSON_PLAIN_ROW = _JSON_ROW % (("%r",) * 5 + ('"%s"',))
+_JSON_PLAIN_ROW = _JSON_ROW % (("%s",) * 5 + ('"ok"',))
 
 
 def _json_scalar(value) -> str:
@@ -325,18 +343,20 @@ def _json_scalar(value) -> str:
 
 def to_json(records) -> str:
     """Render records as a JSON array of objects (value null when not ok).
-    A record whose value and status disagree raises
-    :class:`~ngtmsv.errors.UsageError`.
+    A record that :func:`records_from_json` would refuse as a row raises
+    its :class:`~ngtmsv.errors.UsageError`.
 
     The text is ``json.dumps(rows, indent=2) + "\\n"`` of the rows, byte for
     byte, written directly: with an indent, json runs its pure-Python
     encoder.
     """
     rows = list(map(_FIELDS, records))
-    if _plain(rows):
-        text = ",\n".join(map(_JSON_PLAIN_ROW.__mod__, rows))
+    texts = _plain(rows)
+    if texts is not None:
+        text = ",\n".join(map(_JSON_PLAIN_ROW.__mod__, zip(*texts)))
     else:
-        text = ",\n".join(_JSON_ROW % tuple(map(_json_scalar, row)) for row in _checked(rows))
+        text = ",\n".join(_JSON_ROW % tuple(map(_json_scalar, row))
+                           for row in map(_check_row, itertools.count(), rows))
     return f"[\n{text}\n]\n" if text else "[]\n"
 
 
@@ -356,18 +376,8 @@ def records_from_json(text: str) -> list:
     for n, row in enumerate(rows):
         if not isinstance(row, dict):
             raise UsageError(f"records: row {n} is not an object: {row!r}")
-        for key in _JSON_FIELDS:
-            if key not in row:
-                raise UsageError(f"records: row {n} has no {key!r} field")
-            value = row[key]
-            if key == "status":
-                wrong = value not in _STATUSES
-            else:
-                wrong = not (_is_real(value) or key == "value" and value is None)
-            if wrong:
-                raise UsageError(f"records: row {n} has a wrong {key!r}: {value!r}")
-        _check_value(n, row["value"], row["status"])
-        out.append(SweepRecord(*(row[key] for key in _JSON_FIELDS)))
+        fields = tuple(row.get(key, _ABSENT) for key in _JSON_FIELDS)
+        out.append(SweepRecord(*_check_row(n, fields)))
     return out
 
 
@@ -422,26 +432,21 @@ def _figures() -> dict:
             phi_axis=axis(phi, "phi"),
         )
 
+    def four(op):
+        """The one- and two-photon asym and sym presets of ``op``."""
+        return (f"asym-{op}-1", f"asym-{op}-2", f"sym-{op}-1", f"sym-{op}-2")
+
     # probability heatmaps over (lambda, tau)
-    panels = [
-        ("fig2a", "asym-ps-1"), ("fig2b", "asym-ps-2"),
-        ("fig2c", "sym-ps-1"), ("fig2d", "sym-ps-2"),
-        ("fig2e", "asym-pa-1"), ("fig2f", "asym-pa-2"),
-        ("fig2g", "sym-pa-1"), ("fig2h", "sym-pa-2"),
-        ("fig2i", "asym-pc-1"), ("fig2j", "asym-pc-2"),
-        ("fig2k", "sym-pc-1"), ("fig2l", "sym-pc-2"),
-    ]
-    for name, preset in panels:
-        figs[name] = (f"success probability of {preset} over (lambda, tau)",
-                      [(preset, _req("probability", preset,
-                                     lam=_LAM_HEAT[0], tau=_TAU_HEAT[0]))])
+    heatmaps = [preset for op in ("ps", "pa", "pc") for preset in four(op)]
+    for letter, preset in zip("abcdefghijkl", heatmaps):
+        figs[f"fig2{letter}"] = (f"success probability of {preset} over (lambda, tau)",
+                                 [(preset, _req("probability", preset,
+                                                lam=_LAM_HEAT[0], tau=_TAU_HEAT[0]))])
 
     def family(quantity, op, lam, tau, phi="0.01"):
         """Bare TMSV plus the one- and two-photon asym/sym ``op`` presets."""
-        presets = (f"asym-{op}-1", f"asym-{op}-2", f"sym-{op}-1", f"sym-{op}-2")
         return [("tmsv", _req(quantity, "tmsv", lam=lam, tau="1.0", phi=phi))] + [
-            (preset, _req(quantity, preset, lam=lam, tau=tau, phi=phi))
-            for preset in presets]
+            (preset, _req(quantity, preset, lam=lam, tau=tau, phi=phi)) for preset in four(op)]
 
     # QCRB curves vs lambda (a: subtraction tau=0.9, b: addition tau=0.9,
     # c: catalysis tau=0.2) and vs tau at lambda=0.4
@@ -465,18 +470,11 @@ def _figures() -> dict:
             f"parity sensitivity vs phi for {op} presets (lambda=0.4)",
             family("sensitivity", op, "0.4", tau, _PHI_CURVE[0]))
     # merit heatmaps
-    merit_panels = {
-        "fig8": ("ps merit over (lambda, tau)",
-                 [("asym-ps-1",), ("asym-ps-2",), ("sym-ps-1",), ("sym-ps-2",)]),
-        "fig9": ("pa merit over (lambda, tau)",
-                 [("asym-pa-1",), ("asym-pa-2",), ("sym-pa-1",), ("sym-pa-2",)]),
-    }
-    for base, (desc, presets) in merit_panels.items():
-        for letter, (preset,) in zip("abcd", presets):
+    for base, op in (("fig8", "ps"), ("fig9", "pa")):
+        for letter, preset in zip("abcd", four(op)):
             figs[f"{base}{letter}"] = (
-                f"{desc}: {preset} (phi=0.01)",
-                [(preset, _req("merit", preset,
-                               lam=_LAM_CURVE[0], tau=_TAU_OPEN[0]))])
+                f"{op} merit over (lambda, tau): {preset} (phi=0.01)",
+                [(preset, _req("merit", preset, lam=_LAM_CURVE[0], tau=_TAU_OPEN[0]))])
     pc_panels = [
         ("fig10a", "asym-pc-1", None),
         ("fig10b", "asym-pc-2", None),
@@ -485,11 +483,8 @@ def _figures() -> dict:
         ("fig10e", "sym-pc-2", None),
     ]
     for name, label, photons in pc_panels:
-        if photons is None:
-            req = _req("merit", label, lam=_LAM_CURVE[0], tau=_TAU_HEAT[0])
-        else:
-            req = _req("merit", photons=photons,
-                       lam=_LAM_CURVE[0], tau=_TAU_HEAT[0])
+        req = _req("merit", None if photons else label, photons,
+                   lam=_LAM_CURVE[0], tau=_TAU_HEAT[0])
         figs[name] = (f"catalysis merit over (lambda, tau): {label} (phi=0.01)",
                       [(label, req)])
     # probability-weighted merit vs tau for the six single-photon presets

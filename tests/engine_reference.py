@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 
 from ngtmsv.analytics import (
-    _OTHERS, _PAIRED, _SLOPE_FLOOR, _cauchy, _circle_rule, _scale)
+    _OTHERS, _PAIRED, _SLOPE_FLOOR, _cauchy, _circle_rule)
 from ngtmsv.errors import StationaryPointError
 from ngtmsv.model import phase_space_form, wigner_coupling
 from ngtmsv.series import GeneratingExponent, _levels, mixed_partial_at_zero
@@ -40,7 +40,8 @@ def two_sided_numerator(batch, phi, order):
     Cauchy products of b are built from b's own coupling rows, every block
     is contracted with b, and the weight is 2^d d!. One pass takes the
     whole batch; the batch axis is never summed over."""
-    orders = batch.specs[0].derivative_spec().orders
+    dspec = batch.specs[0].derivative_spec()
+    orders = dspec.orders
     kept = [i for i, v in enumerate(_PAIRED) if orders[v]]
     levels = _levels(tuple(orders[_PAIRED[i]] for i in kept))
     coupling = wigner_coupling(batch.params)[
@@ -84,4 +85,5 @@ def two_sided_numerator(batch, phi, order):
         for k in range(terms):
             np.einsum("xren,xren->xn", a[:, :, k::-1], values[:, :, :k + 1], out=term[:, k])
         num = num + 2.0 ** d * math.factorial(d) * term
-    return _scale(batch.specs[0]) / nodes.shape[1] * num.sum(axis=-1)
+    scale = dspec.prefactor * math.prod(map(math.factorial, orders))
+    return scale / nodes.shape[1] * num.sum(axis=-1)

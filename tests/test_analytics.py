@@ -1491,6 +1491,44 @@ class TestBatchedSweep:
         analytics.evaluate_chunk("merit", 0.5, _sym_pc_2_row(101), [0.01])
         assert calls == [("pair_blocks", (n, 8, 8)) for n in (26, 26, 26, 23)]
 
+    def test_checked_request_is_not_checked_again(self, monkeypatch):
+        # a sweep hands what its request checked to the evaluation behind
+        # evaluate_chunk: no spec is checked again on any lambda-row, the
+        # Wigner point is converted once per request, and each fill derives
+        # the heralding orders and scale once (plus once to size the fills)
+        counts = {"_as_spec": 0, "_as_point": 0, "derivative_spec": 0, "fills": 0}
+
+        def counted(key, real):
+            def call(*args):
+                counts[key] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(analytics, "_as_spec", counted("_as_spec", analytics._as_spec))
+        monkeypatch.setattr(analytics, "_as_point", counted("_as_point", analytics._as_point))
+        monkeypatch.setattr(analytics, "_herald", counted("fills", analytics._herald))
+        monkeypatch.setattr(NGOperationSpec, "derivative_spec", counted(
+            "derivative_spec", NGOperationSpec.derivative_spec))
+        requests = [
+            SweepRequest(quantity="weighted_merit", preset="asym-pa-1",
+                         lam_axis=Axis((0.3, 0.5, 0.7)),
+                         tau_axis=parse_axis("0.01:0.99:101", "tau"), phi_axis=Axis((0.01,))),
+            SweepRequest(quantity="merit", preset="sym-pc-2", lam_axis=Axis((0.6,)),
+                         tau_axis=parse_axis("0.01:1.0:101", "tau"), phi_axis=Axis((0.01,))),
+            SweepRequest(quantity="sensitivity", preset="sym-pc-1", lam_axis=Axis((0.5,)),
+                         tau_axis=Axis((0.4, 0.9)), phi_axis=Axis((0.0, 0.3))),
+            SweepRequest(quantity="wigner", preset="asym-ps-1", lam_axis=Axis((0.2, 0.6)),
+                         tau_axis=Axis((0.5, 0.8)), point=(0.3, -0.2, 0.1, 0.4)),
+        ]
+        for request in requests:
+            for key in counts:
+                counts[key] = 0
+            run_sweep(request)
+            assert counts["_as_spec"] == 0, request
+            assert counts["_as_point"] == (request.quantity == "wigner"), request
+            assert counts["fills"] >= len(request.lam_axis.values), request
+            assert counts["derivative_spec"] <= 2 * counts["fills"], (request, counts)
+
     def test_sym_pc_2_row_memory(self):
         # A heavy row's memory stays where it was at every series order of
         # the quadrature: merit at phi = 0.01 reads order 1, sensitivity at

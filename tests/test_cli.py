@@ -6,6 +6,7 @@ the import-footprint guard starts a fresh interpreter, since it inspects
 ``sys.modules``.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ngtmsv
+from ngtmsv import sweep
 from ngtmsv.cli import main
 from ngtmsv.errors import UsageError
 from ngtmsv.sweep import (
@@ -250,6 +252,33 @@ class TestRunSweep:
             "asym-ps", 1, 0.5), 0.3)
         assert [r.value for r in records if r.status != "ok"] == [None] * 3
 
+    def test_records_are_what_the_checked_constructor_builds(self):
+        # records are filled in place, so each is compared with a checked
+        # SweepRecord(...) field by field, types included (an int tau stays
+        # an int), with its equality, hash and immutability
+        requests = [
+            SweepRequest(quantity="merit", lam_axis=Axis((0.3,)), tau_axis=Axis((0.5, 1.0)),
+                         phi_axis=Axis((0.0, 0.3)), preset="asym-ps-1"),
+            SweepRequest(quantity="qfi", lam_axis=Axis((0.0, 0.5)), preset="tmsv"),
+            SweepRequest(quantity="probability", lam_axis=Axis((0.5,)),
+                         tau_axis=Axis((1, 1.0)), preset="sym-pa-1"),
+            SweepRequest(quantity="sensitivity", lam_axis=Axis((0.4,)),
+                         photons=(1, 2, 1, 2), tau_pair=(0.6, 0.8)),
+        ]
+        records = [rec for req in requests for rec in run_sweep(req)]
+        assert {rec.status for rec in records} == {"ok", "degenerate", "stationary"}
+        assert 1 in [rec.tau2 for rec in records if type(rec.tau2) is int]
+        for rec in records:
+            checked = SweepRecord(rec.lam, rec.tau1, rec.tau2, rec.phi, rec.value, rec.status)
+            assert type(rec) is SweepRecord
+            assert rec == checked and hash(rec) == hash(checked)
+            assert repr(rec) == repr(checked)
+            assert list(vars(rec).items()) == list(vars(checked).items())
+            assert [type(v) for v in vars(rec).values()] == \
+                [type(v) for v in vars(checked).values()]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rec.value = 0.5
+
     def test_thread_count_does_not_change_records(self, monkeypatch):
         # sweeps run serially; a leftover NGI_THREADS setting is ignored
         req = SweepRequest(quantity="merit", lam_axis=Axis((0.3, 0.5, 0.7)),
@@ -366,6 +395,48 @@ class TestTables:
         # what records_from_json refuses to read, neither writer writes
         with pytest.raises(UsageError, match=match):
             write(records)
+
+    @pytest.mark.parametrize("write", [to_csv, to_json])
+    @pytest.mark.parametrize("fields", [
+        (0.5, 1.0, 0.5, 0.01, True, "ok"),
+        (0.5, 1.0, 0.5, 0.01, "abc", "ok"),
+        (0.5, 1.0, 0.5, 0.01, 0.25, "bogus"),
+        ("x", 1.0, 0.5, 0.01, 0.25, "ok"),
+    ], ids=["bool-value", "str-value", "unknown-status", "str-lambda"])
+    def test_writers_refuse_what_the_reader_refuses(self, write, fields):
+        # a row records_from_json refuses is refused by both writers, with
+        # the reader's message, also behind a row that is written
+        good = SweepRecord(0.5, 1.0, 0.4, 0.01, 0.125, "ok")
+        payload = [dict(zip(("lambda", "tau1", "tau2", "phi", "value", "status"), row))
+                   for row in (vars(good).values(), fields)]
+        with pytest.raises(UsageError) as want:
+            records_from_json(json.dumps(payload))
+        assert "row 1 has a wrong" in str(want.value)
+        with pytest.raises(UsageError) as got:
+            write([good, SweepRecord(*fields)])
+        assert str(got.value) == str(want.value)
+
+    _COLUMNS = st.one_of(
+        st.sampled_from([0.5, -2.5, 5e-324, -5e-324, 1.5e10, 0.0, -0.0]).map(lambda v: [v]),
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.1]), min_size=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 101), st.lists(_COLUMNS, min_size=5, max_size=5))
+    @example(101, [[0.3], [1.0], [0.5], [0.01], [0.0, -0.0]])
+    @example(3, [[-0.0], [0.0], [5e-324], [5e-324, 0.0], [-0.0, 0.0, 5e-324]])
+    def test_constant_columns_are_written_per_value(self, n, columns):
+        # the fast path formats a column of one nonzero value once: the text
+        # is still each value's repr (CSV) and json.dumps (JSON), and a
+        # column of zeros keeps each sign
+        records = [SweepRecord(*(col[i % len(col)] for col in columns), "ok")
+                   for i in range(n)]
+        assert sweep._plain(list(map(sweep._FIELDS, records))) is not None
+        lines = [",".join((*(repr(v) for v in (r.lam, r.tau1, r.tau2, r.phi, r.value)), "ok"))
+                 for r in records]
+        assert to_csv(records) == "\n".join((CSV_HEADER, *lines)) + "\n"
+        payload = [{"lambda": r.lam, "tau1": r.tau1, "tau2": r.tau2, "phi": r.phi,
+                    "value": r.value, "status": "ok"} for r in records]
+        assert to_json(records) == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("text, match", [
         ("[1]", "row 0 is not an object"),
