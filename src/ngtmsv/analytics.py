@@ -863,12 +863,12 @@ def evaluate_chunk(quantity: str, lam: float, specs, phis, point=None) -> list:
     specs = _as_tuple(specs, "specs", "operations")
     if len({(_as_spec(s).m1, s.m2, s.n1, s.n2) for s in specs}) > 1:
         raise ParameterError("a chunk's specs must share their photon numbers (m1, m2, n1, n2)")
-    return _evaluate(quantity, lam, specs, phis, xi)
+    return evaluate_checked(quantity, lam, specs, phis, xi)
 
 
-def _evaluate(quantity: str, lam: float, specs: tuple, phis, xi) -> list:
-    """:func:`evaluate_chunk` on checked arguments (as a ``SweepRequest``
-    checks them); ``xi`` is the Wigner point as a tuple of floats, or None."""
+def evaluate_checked(quantity: str, lam: float, specs: tuple, phis, xi) -> list:
+    """:func:`evaluate_chunk` without its checks, on arguments a ``SweepRequest``
+    has checked; ``xi`` is the Wigner point as a tuple of floats, or None."""
     if not specs:
         return []
     outcomes = []
@@ -983,4 +983,5 @@ __all__ = [
     "weighted_merit",
     "sensitivity_report",
     "evaluate_chunk",
+    "evaluate_checked",
 ]

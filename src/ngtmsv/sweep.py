@@ -2,7 +2,7 @@
 
 A sweep covers the cartesian grid lambda x tau x phi and collects records in
 grid order (lambda outermost, phi fastest). Each lambda-row is one call of
-:func:`ngtmsv.analytics.evaluate_chunk`, which fills the heralding blocks
+:func:`ngtmsv.analytics.evaluate_checked`, which fills the heralding blocks
 of consecutive tau values under a bounded number of bytes of arrays.
 Degenerate or stationary points are recorded with a status instead of
 aborting the sweep.
@@ -232,8 +232,9 @@ def run_sweep(request: SweepRequest) -> list:
     row and each tau as an operation's tau; ``NGOperationSpec`` checks an
     operation built from ``photons``. The evaluation checks none of it
     again: the points of a lambda-row share their photon numbers, so a row
-    is one call of :func:`ngtmsv.analytics.evaluate_chunk`'s evaluation
-    without its checks, in fills of the heralding blocks with a batch axis.
+    is one call of :func:`ngtmsv.analytics.evaluate_checked` (the evaluation
+    behind ``evaluate_chunk``, without its checks), in fills of the
+    heralding blocks with a batch axis.
     Every point gets the value and status it gets on its own, and an error
     that is not a status is raised from the first point in grid order that
     raises it.
@@ -246,14 +247,14 @@ def run_sweep(request: SweepRequest) -> list:
     points = [(spec.tau1, spec.tau2, phi) for spec in specs for phi in phis]
     records = []
     for lam in request.lam_axis.values:
-        outcomes = analytics._evaluate(request.quantity, lam, specs, phis, xi)
+        outcomes = analytics.evaluate_checked(request.quantity, lam, specs, phis, xi)
         records += [_record(lam, *point, out) for point, out in zip(points, outcomes)]
     return records
 
 
 def _record(lam: float, tau1: float, tau2: float, phi: float, outcome) -> SweepRecord:
-    """A point's record, filled in place from checked inputs: a frozen
-    dataclass's ``__init__`` sets each field through ``object.__setattr__``."""
+    """A point's record, filled in place as :func:`~ngtmsv.model._preset_row`
+    fills specs (a frozen dataclass's ``__init__`` calls ``object.__setattr__``)."""
     if type(outcome) is float:
         value, status = outcome, "ok"
     elif isinstance(outcome, (DegenerateOperationError, DegenerateStateError)):
@@ -263,7 +264,9 @@ def _record(lam: float, tau1: float, tau2: float, phi: float, outcome) -> SweepR
     else:
         raise outcome
     record = object.__new__(SweepRecord)
-    vars(record).update(lam=lam, tau1=tau1, tau2=tau2, phi=phi, value=value, status=status)
+    fields = record.__dict__  # filled in the order of the dataclass fields
+    fields["lam"], fields["tau1"], fields["tau2"] = lam, tau1, tau2
+    fields["phi"], fields["value"], fields["status"] = phi, value, status
     return record
 
 
@@ -290,10 +293,8 @@ def _plain(rows: list):
 
 
 def _check_row(n: int, row) -> tuple:
-    """Row ``n``, its fields in the order of ``_JSON_FIELDS``, unless
-    :func:`records_from_json` refuses it: each field present, a status in
-    ``_STATUSES``, every other field real or a None value, and a value
-    exactly when the status is 'ok'."""
+    """Row ``n`` (its fields in the order of ``_JSON_FIELDS``), unless
+    :func:`records_from_json` refuses it."""
     for key, value in zip(_JSON_FIELDS, row):
         if value is _ABSENT:
             raise UsageError(f"records: row {n} has no {key!r} field")
@@ -432,21 +433,26 @@ def _figures() -> dict:
             phi_axis=axis(phi, "phi"),
         )
 
-    def four(op):
-        """The one- and two-photon asym and sym presets of ``op``."""
-        return (f"asym-{op}-1", f"asym-{op}-2", f"sym-{op}-1", f"sym-{op}-2")
-
     # probability heatmaps over (lambda, tau)
-    heatmaps = [preset for op in ("ps", "pa", "pc") for preset in four(op)]
-    for letter, preset in zip("abcdefghijkl", heatmaps):
-        figs[f"fig2{letter}"] = (f"success probability of {preset} over (lambda, tau)",
-                                 [(preset, _req("probability", preset,
-                                                lam=_LAM_HEAT[0], tau=_TAU_HEAT[0]))])
+    panels = [
+        ("fig2a", "asym-ps-1"), ("fig2b", "asym-ps-2"),
+        ("fig2c", "sym-ps-1"), ("fig2d", "sym-ps-2"),
+        ("fig2e", "asym-pa-1"), ("fig2f", "asym-pa-2"),
+        ("fig2g", "sym-pa-1"), ("fig2h", "sym-pa-2"),
+        ("fig2i", "asym-pc-1"), ("fig2j", "asym-pc-2"),
+        ("fig2k", "sym-pc-1"), ("fig2l", "sym-pc-2"),
+    ]
+    for name, preset in panels:
+        figs[name] = (f"success probability of {preset} over (lambda, tau)",
+                      [(preset, _req("probability", preset,
+                                     lam=_LAM_HEAT[0], tau=_TAU_HEAT[0]))])
 
     def family(quantity, op, lam, tau, phi="0.01"):
         """Bare TMSV plus the one- and two-photon asym/sym ``op`` presets."""
+        presets = (f"asym-{op}-1", f"asym-{op}-2", f"sym-{op}-1", f"sym-{op}-2")
         return [("tmsv", _req(quantity, "tmsv", lam=lam, tau="1.0", phi=phi))] + [
-            (preset, _req(quantity, preset, lam=lam, tau=tau, phi=phi)) for preset in four(op)]
+            (preset, _req(quantity, preset, lam=lam, tau=tau, phi=phi))
+            for preset in presets]
 
     # QCRB curves vs lambda (a: subtraction tau=0.9, b: addition tau=0.9,
     # c: catalysis tau=0.2) and vs tau at lambda=0.4
@@ -470,11 +476,18 @@ def _figures() -> dict:
             f"parity sensitivity vs phi for {op} presets (lambda=0.4)",
             family("sensitivity", op, "0.4", tau, _PHI_CURVE[0]))
     # merit heatmaps
-    for base, op in (("fig8", "ps"), ("fig9", "pa")):
-        for letter, preset in zip("abcd", four(op)):
+    merit_panels = {
+        "fig8": ("ps merit over (lambda, tau)",
+                 [("asym-ps-1",), ("asym-ps-2",), ("sym-ps-1",), ("sym-ps-2",)]),
+        "fig9": ("pa merit over (lambda, tau)",
+                 [("asym-pa-1",), ("asym-pa-2",), ("sym-pa-1",), ("sym-pa-2",)]),
+    }
+    for base, (desc, presets) in merit_panels.items():
+        for letter, (preset,) in zip("abcd", presets):
             figs[f"{base}{letter}"] = (
-                f"{op} merit over (lambda, tau): {preset} (phi=0.01)",
-                [(preset, _req("merit", preset, lam=_LAM_CURVE[0], tau=_TAU_OPEN[0]))])
+                f"{desc}: {preset} (phi=0.01)",
+                [(preset, _req("merit", preset,
+                               lam=_LAM_CURVE[0], tau=_TAU_OPEN[0]))])
     pc_panels = [
         ("fig10a", "asym-pc-1", None),
         ("fig10b", "asym-pc-2", None),
@@ -483,8 +496,11 @@ def _figures() -> dict:
         ("fig10e", "sym-pc-2", None),
     ]
     for name, label, photons in pc_panels:
-        req = _req("merit", None if photons else label, photons,
-                   lam=_LAM_CURVE[0], tau=_TAU_HEAT[0])
+        if photons is None:
+            req = _req("merit", label, lam=_LAM_CURVE[0], tau=_TAU_HEAT[0])
+        else:
+            req = _req("merit", photons=photons,
+                       lam=_LAM_CURVE[0], tau=_TAU_HEAT[0])
         figs[name] = (f"catalysis merit over (lambda, tau): {label} (phi=0.01)",
                       [(label, req)])
     # probability-weighted merit vs tau for the six single-photon presets

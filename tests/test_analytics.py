@@ -1492,11 +1492,12 @@ class TestBatchedSweep:
         assert calls == [("pair_blocks", (n, 8, 8)) for n in (26, 26, 26, 23)]
 
     def test_checked_request_is_not_checked_again(self, monkeypatch):
-        # a sweep hands what its request checked to the evaluation behind
-        # evaluate_chunk: no spec is checked again on any lambda-row, the
+        # a sweep hands what its request checked to evaluate_checked, one
+        # call per lambda-row through a public name (which the bench's layer
+        # tracing wraps): no spec is checked again on any lambda-row, the
         # Wigner point is converted once per request, and each fill derives
         # the heralding orders and scale once (plus once to size the fills)
-        counts = {"_as_spec": 0, "_as_point": 0, "derivative_spec": 0, "fills": 0}
+        counts = {"_as_spec": 0, "_as_point": 0, "derivative_spec": 0, "fills": 0, "rows": 0}
 
         def counted(key, real):
             def call(*args):
@@ -1507,6 +1508,8 @@ class TestBatchedSweep:
         monkeypatch.setattr(analytics, "_as_spec", counted("_as_spec", analytics._as_spec))
         monkeypatch.setattr(analytics, "_as_point", counted("_as_point", analytics._as_point))
         monkeypatch.setattr(analytics, "_herald", counted("fills", analytics._herald))
+        monkeypatch.setattr(analytics, "evaluate_checked", counted(
+            "rows", analytics.evaluate_checked))
         monkeypatch.setattr(NGOperationSpec, "derivative_spec", counted(
             "derivative_spec", NGOperationSpec.derivative_spec))
         requests = [
@@ -1525,9 +1528,11 @@ class TestBatchedSweep:
                 counts[key] = 0
             run_sweep(request)
             assert counts["_as_spec"] == 0, request
+            assert counts["rows"] == len(request.lam_axis.values), request
             assert counts["_as_point"] == (request.quantity == "wigner"), request
             assert counts["fills"] >= len(request.lam_axis.values), request
             assert counts["derivative_spec"] <= 2 * counts["fills"], (request, counts)
+        assert "evaluate_checked" in analytics.__all__
 
     def test_sym_pc_2_row_memory(self):
         # A heavy row's memory stays where it was at every series order of
