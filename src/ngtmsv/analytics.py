@@ -223,9 +223,15 @@ class _Batch:
         """One state of the batch; raises the error its evaluation raised."""
         if self.faults[index] is not None:
             raise self.faults[index]
-        return _State(batch=self, index=index, params=self.params.at(index),
-                      spec=self.specs[index], core=float(self.core[index]),
-                      prob=float(self.prob[index]))
+        return _State(batch=self, index=index, spec=self.specs[index],
+                      core=float(self.core[index]), prob=float(self.prob[index]))
+
+    @functools.cached_property
+    def forms(self) -> tuple:
+        """The read-only Wigner coupling and phase-space form of ``params``,
+        whose rows the states' kernels and moments read. The parity pass
+        slices its own (:attr:`parity_terms`): a phase row holds no full form."""
+        return _frozen(wigner_coupling(self.params), phase_space_form(self.params))
 
     @functools.cached_property
     def parity_terms(self) -> tuple:
@@ -271,16 +277,15 @@ def _herald(lam: float, specs: tuple) -> _Batch:
 
 @dataclass(frozen=True, eq=False)
 class _State:
-    """State ``index`` of ``batch``, with scalar parameters.
+    """State ``index`` of ``batch``, which reads its rows of the batch's arrays.
 
-    The dense coefficients, the Wigner coupling and phase-space form, the
-    kernel and the moment contractions are derived on first use and kept:
-    the kernel and the moment tables read the same read-only arrays.
+    The dense coefficients, the kernel and the moment contractions are
+    derived on first use and kept; the kernel and the moment tables read
+    the state's rows of :attr:`_Batch.forms`.
     """
 
     batch: _Batch
     index: int
-    params: ModelParams
     spec: NGOperationSpec
     core: float
     prob: float
@@ -298,23 +303,14 @@ class _State:
         return _frozen(out)[0]
 
     @functools.cached_property
-    def coupling(self) -> np.ndarray:
-        """:func:`~ngtmsv.model.wigner_coupling` of the state."""
-        return _frozen(wigner_coupling(self.params))[0]
-
-    @functools.cached_property
-    def form(self) -> np.ndarray:
-        """:func:`~ngtmsv.model.phase_space_form` of the state."""
-        return _frozen(phase_space_form(self.params))[0]
-
-    @functools.cached_property
     def kernel(self) -> WignerKernel:
-        params = self.params
-        prob = self.core / params.base_norm  # unclamped: the kernel integrates to 1
+        base_norm = float(self.batch.params.base_norm[self.index])
+        prob = self.core / base_norm  # unclamped: the kernel integrates to 1
         _check_floor(prob, "normalized Wigner")
-        scale = 1.0 / (params.base_norm * math.pi ** 2 * prob)
-        return WignerKernel(coeffs=self.coeffs, coupling=self.coupling,
-                            quad=tuple(map(tuple, self.form.tolist())), scale=scale)
+        scale = 1.0 / (base_norm * math.pi ** 2 * prob)
+        coupling, form = (rows[self.index] for rows in self.batch.forms)
+        return WignerKernel(coeffs=self.coeffs, coupling=coupling,
+                            quad=tuple(map(tuple, form.tolist())), scale=scale)
 
 
 # Public entry points share the last evaluation, a batch of one, and hand
@@ -468,10 +464,11 @@ def _moment_tables(state: _State, order: int):
     (last) half for the g (d) of :func:`_power_plan`. The columns c_b of the
     moment coupling carry the probability signs D on their rows, so the
     Wigner-signed ``coeffs`` can be contracted."""
-    h = coefficient_array(GeneratingExponent(4, _MOMENT_FORM_SCALE * state.form),
+    coupling, form = (rows[state.index] for rows in state.batch.forms)
+    h = coefficient_array(GeneratingExponent(4, _MOMENT_FORM_SCALE * form),
                           DerivativeSpec((order,) * 4))[0]
     shape = state.coeffs.shape
-    coupling = _MOMENT_COUPLING_SCALE * state.coupling * _PROB_SIGNS[:, None]
+    coupling = _MOMENT_COUPLING_SCALE * coupling * _PROB_SIGNS[:, None]
     first = _power_products(coupling[:4], shape[:4], order)
     last = _power_products(coupling[4:], shape[4:], order)
     coeffs = state.coeffs.reshape(first.shape[1], last.shape[1])

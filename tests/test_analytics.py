@@ -96,7 +96,7 @@ def _engine_parity(lam, spec, phi):
     """The parity signal from the retained 21-weight parity form: an engine
     run of its own, normalized by the state's core with the same checks."""
     state = analytics._heralding(lam, spec)
-    params = state.params
+    params = derive_params(lam, spec)
     if state.core / params.base_norm < analytics._PROB_FLOOR:
         raise DegenerateOperationError("reference parity undefined")
     aux = parity_aux(params, phi)
@@ -125,7 +125,7 @@ def _engine_condition(lam, spec, phi):
     condition of the parity form at ``phi`` plus that of the probability
     form. It is about 2 for most states and reaches 1e9 at lambda = 1e-4
     with photons added and subtracted."""
-    params = analytics._heralding(lam, spec).params
+    params = derive_params(lam, spec)
     dspec = spec.derivative_spec()
     return sum(_herald_condition(quad, dspec) for quad in (
         parity_form(params, parity_aux(params, phi)), probability_form(params)))
@@ -1129,6 +1129,46 @@ class TestStateCache:
                 moment(lam, spec, idx)
         qfi(lam, spec)
         assert sorted(calls) == ["phase_space_form", "wigner_coupling"]
+
+    def test_state_fill_derives_forms_once(self, monkeypatch):
+        # the states of a fill read their rows of one Wigner coupling and
+        # one phase-space form with the batch axis, not a form each
+        calls = []
+        for name in ("wigner_coupling", "phase_space_form"):
+            def counting(params, name=name, real=getattr(model, name)):
+                calls.append((name, np.shape(params.base_norm)))
+                return real(params)
+
+            monkeypatch.setattr(model, name, counting)
+            monkeypatch.setattr(analytics, name, counting)
+        specs = [operation_from_table("sym-pc", 1, tau)
+                 for tau in np.linspace(0.05, 1.0, 20).tolist()]
+        for quantity in ("qfi", "wigner"):
+            calls.clear()
+            analytics.evaluate_chunk(quantity, 0.45, specs, [0.0],
+                                     point=(0.1, 0.2, -0.3, 0.4))
+            assert sorted(calls) == [("phase_space_form", (20,)),
+                                     ("wigner_coupling", (20,))], quantity
+
+    def test_state_rows_are_the_single_spec_forms(self):
+        # a state's rows of its batch's forms hold the bytes of the forms
+        # of its own parameters, signed zeros included, and are read-only
+        taus = [1e-6, 0.01, 0.3, 0.6, 0.95, 1.0]
+        for shape in _SHAPES:
+            specs = tuple(_shape_row(shape, taus))
+            for lam in (0.0, 1e-14, 0.5, 0.999):
+                batch = analytics._herald(lam, specs)
+                for b, spec in enumerate(specs):
+                    params = derive_params(lam, spec)
+                    want = (model.wigner_coupling(params), model.phase_space_form(params))
+                    for rows, form in zip(batch.forms, want):
+                        assert not rows[b].flags.writeable
+                        assert rows[b].tobytes() == form.tobytes(), (shape, lam, spec)
+                    state = batch.state(b)
+                    if state.prob >= analytics._PROB_FLOOR:
+                        kernel = state.kernel
+                        assert kernel.coupling.tobytes() == want[0].tobytes()
+                        assert kernel.quad == tuple(map(tuple, want[1].tolist()))
 
     def test_shape_plans_are_shared_and_read_only(self):
         # every lru_cache of the package is bounded (the Fock oracle, a test
